@@ -4,25 +4,49 @@ The equation in the co-moving coordinate xi = x - 2t reads
 
     u_t = u_xixi + 2 u_xi + u(1 - u).
 
-Internally the stepper evolves the exponentially weighted field
-ub := e^{xi} u, for two reasons:
+Weighted field.  The stepper evolves ub := e^{xi} u, in which the equation
+is pure diffusion plus a quadratic sink,
 
-- Dynamic range.  The drift measurements feed on tail structure out to
-  xi = O(sqrt(t)); by t = 1e5 that reaches xi ~ 800 where u ~ e^{-800}
-  underflows doubles, so any scheme that stores u directly silently zeroes
-  the physics that produces the critical-case double-log term.  The weighted
-  field stays polynomial-sized everywhere.
-- Exactness.  In the weighted variable the equation is pure diffusion plus a
-  quadratic sink, ub_t = ub_xixi - e^{-xi} ub^2, and the symmetric stencil
-  (1, -2, 1) / (dxi^2 rho), rho = 2(cosh dxi - 1)/dxi^2, makes both the
-  marginal e^{-xi} mode (a constant in ub) and the invaded state u = 1
-  (ub = e^{xi}) exact discrete equilibria for any dt.  Plain centered
-  stencils in u bias the front speed by dxi^2/4, which is fatal to the
-  log-law fits (see the refinement evidence in the tests).
+    ub_t = ub_xixi - e^{-xi} ub^2.
 
-The implicit diffusion matrix is an M-matrix and the explicit sink map is
-monotone for dt <= 0.1, so ordered states stay ordered to rounding; the
-public surface (initial data, steps, snapshots, level extraction) speaks
+The drift measurements feed on tail structure out to xi = O(sqrt(t)); by
+t = 1e5 that reaches xi ~ 800, where u ~ e^{-800} underflows doubles and any
+scheme storing u would silently zero the physics behind the critical-case
+double-log term.  The weighted field stays polynomial-sized there.
+
+Stencil.  ub_xixi is discretized by the symmetric stencil
+(1, -2, 1) / (rho dxi^2) with rho = 2(cosh dxi - 1)/dxi^2.  It is exact on
+constants in ub (the marginal mode u = e^{-xi}) and on ub = e^{xi} (the
+invaded state u = 1), so both are discrete equilibria for any dt, as is
+u = 0.  Plain centered differences in u bias the front speed by dxi^2/4,
+which is fatal to the log-law fits (see the refinement evidence in the tests).
+
+Step.  One IMEX step solves
+
+    (I - dt D) ub+ = ub - dt e^{-xi} ub^2
+
+with the two end nodes held as Dirichlet data.  Their values are moved to
+the right-hand side (off ub_0 and off ub_{n-1} join the first and last
+interior rows, off = dt / (rho dxi^2)), which leaves the (n-2) x (n-2)
+interior matrix tridiag(-off, 1 + 2 off, -off).  It is symmetric and strictly
+diagonally dominant with positive diagonal, hence positive definite and an
+M-matrix: it is factored once as L D L^T (LAPACK dpttrf) and each step is one
+dpttrs solve, and its inverse is entrywise nonnegative, so the implicit part
+preserves order for every dt.
+
+Reaction bound.  The explicit sink acts node by node as
+ub -> ub - dt e^{-xi} ub^2, with derivative 1 - 2 dt e^{-xi} ub = 1 - 2 dt u.
+It is monotone exactly when dt * max u <= 1/2, i.e. for states in [0, 1]
+when dt <= 1/2.  DT_MAX = 0.1 lies inside that bound.  A step is the
+composition of two monotone maps, so ordered states stay ordered to
+rounding (the discrete comparison principle).
+
+Range guard.  After each step u must lie in [-OVERSHOOT_TOL,
+1 + OVERSHOOT_TOL]; anything else, NaN and inf included, raises
+NumericsError.  Rounding-level overshoot is clipped back to [0, 1] and its
+size accumulated in Stepper.clamp_total.
+
+The public surface (initial data, steps, snapshots, level extraction) speaks
 plain u throughout.
 """
 
@@ -33,8 +57,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import DomainError, LevelNotAttainedError, NumericsError
 from .grid import GridFunction
@@ -42,7 +65,8 @@ from .io import load_key_value_config
 
 log = logging.getLogger(__name__)
 
-# Explicit-reaction step bound (the implicit part is unconditionally stable).
+# Largest accepted step; the explicit sink stays monotone up to dt = 1/2 (see
+# the reaction bound above), the implicit part at any dt.
 DT_MAX = 0.1
 # Values this small are far below anything measured; flushing them avoids
 # denormal arithmetic in the far tail.
@@ -135,12 +159,21 @@ class SimResult:
     boundary_alarm: bool = False
 
 
+def _stencil_rho(h: float) -> float:
+    """rho = 2 (cosh h - 1) / h^2, the weight that makes the symmetric stencil
+    exact on e^{xi} and e^{-xi}.  Written as (2 sinh(h/2) / h)^2: cosh h - 1
+    loses about 3e-14 relative to cancellation at h = 0.05, an error that
+    tilts the discrete u = 1 equilibrium and can make the range guard clamp
+    on every step."""
+    return (2.0 * math.sinh(0.5 * h) / h) ** 2
+
+
 def fitted_stencil(dxi: float) -> tuple[float, float, float]:
     """3-point stencil for the full linear part u'' + 2u' + u, conjugate of
     the symmetric weighted-field stencil: exact on the e^{-xi} Jordan block
     and on constants (u = 1 balance): (c_minus, c_0, c_plus)."""
     h = dxi
-    rho = 2.0 * (math.cosh(h) - 1.0) / (h * h)
+    rho = _stencil_rho(h)
     cm = math.exp(-h) / (rho * h * h)
     cp = math.exp(h) / (rho * h * h)
     c0 = -2.0 / (rho * h * h)
@@ -148,16 +181,18 @@ def fitted_stencil(dxi: float) -> tuple[float, float, float]:
 
 
 class Stepper:
-    """Prefactorized IMEX stepper on a fixed grid; holds no solution state.
+    """Prefactorized IMEX stepper on a fixed grid (see the module docstring).
 
-    Works on the weighted field ub = e^{xi} u: implicit symmetric diffusion
-    (which carries the whole linear operator of the u equation), explicit
-    quadratic sink.  Boundary rows hold their values as Dirichlet data.
+    Holds no solution state between steps: step_weighted returns a new array
+    and leaves its input untouched.  It does keep one scratch array, so one
+    instance serves one thread at a time.
     """
 
     def __init__(self, n: int, dxi: float, dt: float, xi0: float = 0.0):
         if not 0.0 < dt <= DT_MAX:
             raise DomainError(f"dt must lie in (0, {DT_MAX}]")
+        if n < 3:
+            raise DomainError(f"need at least 3 nodes, got {n}")
         self.n = n
         self.dxi = dxi
         self.dt = dt
@@ -165,19 +200,16 @@ class Stepper:
         xi = xi0 + dxi * np.arange(n)
         with np.errstate(under="ignore"):
             self._weight_down = np.exp(-xi)  # u = weight_down * ub; 0 beyond xi ~ 745
+            self._sink = dt * self._weight_down[1:-1]  # interior dt e^{-xi}
         with np.errstate(over="ignore"):
             self._ceiling = np.exp(xi)  # ub image of u = 1; inf far right is fine for clip
-        self._xi = xi
-        h = dxi
-        rho = 2.0 * (math.cosh(h) - 1.0) / (h * h)
-        off = 1.0 / (rho * h * h)
-        main = np.full(n, 1.0 + 2.0 * dt * off)
-        lower = np.full(n - 1, -dt * off)
-        upper = np.full(n - 1, -dt * off)
-        main[0] = main[-1] = 1.0
-        upper[0] = lower[-1] = 0.0
-        matrix = sp.diags([lower, main, upper], (-1, 0, 1), format="csc")
-        self._lu = spla.splu(matrix)
+        self._off = dt / (_stencil_rho(dxi) * dxi * dxi)
+        self._diag, self._sub, info = dpttrf(
+            np.full(n - 2, 1.0 + 2.0 * self._off), np.full(n - 3, -self._off)
+        )
+        if info != 0:
+            raise NumericsError(f"interior matrix not positive definite (dpttrf info={info})")
+        self._u = np.empty(n)  # plain-u image for the range guard
         self.clamp_total = 0.0
 
     def to_weighted(self, u: np.ndarray) -> np.ndarray:
@@ -192,14 +224,23 @@ class Stepper:
             return ub * self._weight_down
 
     def step_weighted(self, ub: np.ndarray) -> np.ndarray:
-        rhs = ub - self.dt * (self._weight_down * ub * ub)
-        rhs[0] = ub[0]
-        rhs[-1] = ub[-1]
-        out = self._lu.solve(rhs)
-        u_view = self.to_linear(out)
+        out = np.empty(self.n)
+        out[0] = ub[0]
+        out[-1] = ub[-1]
+        rhs = out[1:-1]  # built and solved in place
+        inner = ub[1:-1]
+        with np.errstate(under="ignore"):
+            np.multiply(self._sink, inner, out=rhs)
+            rhs *= inner
+            np.subtract(inner, rhs, out=rhs)
+            rhs[0] += self._off * ub[0]
+            rhs[-1] += self._off * ub[-1]
+            dpttrs(self._diag, self._sub, rhs, overwrite_b=True)
+            u_view = np.multiply(out, self._weight_down, out=self._u)
         lo = float(u_view.min())
         hi = float(u_view.max())
-        if lo < -OVERSHOOT_TOL or hi > 1.0 + OVERSHOOT_TOL:
+        # negated in-range test: a NaN anywhere fails it
+        if not (lo >= -OVERSHOOT_TOL and hi <= 1.0 + OVERSHOOT_TOL):
             raise NumericsError(
                 f"instability: values reached [{lo:.3e}, {hi:.3e}] outside [0, 1]"
             )
@@ -213,18 +254,6 @@ class Stepper:
         """One step in plain-u terms (converts at both ends; tail values that
         underflow u-representation stay zero)."""
         return self.to_linear(self.step_weighted(self.to_weighted(u)))
-
-
-_stepper_cache: dict[tuple[int, float, float, float], Stepper] = {}
-
-
-def _get_stepper(n: int, dxi: float, dt: float, xi0: float) -> Stepper:
-    key = (n, dxi, dt, xi0)
-    if key not in _stepper_cache:
-        if len(_stepper_cache) > 8:
-            _stepper_cache.clear()
-        _stepper_cache[key] = Stepper(n, dxi, dt, xi0)
-    return _stepper_cache[key]
 
 
 def init_front_data(config: SimConfig) -> GridFunction:
@@ -261,7 +290,7 @@ def init_front_data_weighted(config: SimConfig) -> np.ndarray:
 def step(state: GridFunction, t: float, dt: float) -> GridFunction:
     """One IMEX step; t is unused by the autonomous scheme but kept for the
     operation signature (the frame is time-independent by construction)."""
-    stepper = _get_stepper(len(state), state.dxi, dt, state.xi0)
+    stepper = Stepper(len(state), state.dxi, dt, state.xi0)
     return GridFunction(state.xi0, state.dxi, stepper.step_values(state.values))
 
 

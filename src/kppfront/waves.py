@@ -147,6 +147,16 @@ def wave_B_constant(profile: WaveProfile) -> float:
     return mean
 
 
+def _finished(profile: WaveProfile) -> WaveProfile:
+    """Attach the tail constant and make the samples read-only: the cached
+    profile is shared by every caller, so a write would corrupt all later
+    results."""
+    profile.B = wave_B_constant(profile)
+    profile.values.flags.writeable = False
+    profile.dvalues.flags.writeable = False
+    return profile
+
+
 @lru_cache(maxsize=16)
 def minimal_wave(z_min: float = -30.0, z_max: float = 55.0, dz: float = 1e-3) -> WaveProfile:
     """Minimal-speed wave, translated so U(0) = 1/2.
@@ -178,9 +188,7 @@ def minimal_wave(z_min: float = -30.0, z_max: float = 55.0, dz: float = 1e-3) ->
         delta *= math.exp(MU_UNSTABLE * crossing)
     if abs(crossing) > 1e-9:
         raise NumericsError(f"crossing recentering stalled at {crossing:.3e}")
-    profile = WaveProfile(z0=z_min, dz=dz, values=vals, kind="minimal_wave", dvalues=dvals)
-    profile.B = wave_B_constant(profile)
-    return profile
+    return _finished(WaveProfile(z0=z_min, dz=dz, values=vals, kind="minimal_wave", dvalues=dvals))
 
 
 @lru_cache(maxsize=32)
@@ -202,11 +210,9 @@ def phi_gamma(gamma: float, z_max: float = 55.0, dz: float = 1e-3) -> WaveProfil
     logslope = dvals[1:] / vals[1:]
     if np.any(logslope < -1.0 - 1e-12):
         raise NumericsError("phi'/phi dropped below -1: integration error")
-    profile = WaveProfile(
-        z0=0.0, dz=dz, values=vals, kind="phi_gamma", gamma=gamma, dvalues=dvals
+    return _finished(
+        WaveProfile(z0=0.0, dz=dz, values=vals, kind="phi_gamma", gamma=gamma, dvalues=dvals)
     )
-    profile.B = wave_B_constant(profile)
-    return profile
 
 
 def ode_residual(profile: WaveProfile) -> float:

@@ -63,6 +63,21 @@ class TestSimulateCommand:
         for rel in ("traces/level_0.5.csv", "snapshots/t_200.csv", "manifest.json"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
 
+    def test_nan_state_exits_with_numerics_code(self, config_file, tmp_path, monkeypatch, capsys):
+        from kppfront import sim
+
+        original = sim.init_front_data_weighted
+
+        def poisoned(config):
+            ub = original(config)
+            ub[ub.size // 2] = np.nan
+            return ub
+
+        monkeypatch.setattr(sim, "init_front_data_weighted", poisoned)
+        rc = main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "instability" in capsys.readouterr().err
+
 
 class TestFitCommand:
     def _write_trace(self, path, critical=False):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from kppfront import (
     DomainError,
@@ -18,7 +20,25 @@ from kppfront import (
     simulate,
     step,
 )
-from kppfront.sim import Stepper, config_from_mapping, fitted_stencil
+from kppfront.errors import NumericsError
+from kppfront.sim import Stepper, config_from_mapping, fitted_stencil, init_front_data_weighted
+
+
+def _dirichlet_splu(n, dt, c_minus, c_0, c_plus):
+    """Full n x n splu factor of I - dt L for the 3-point operator
+    L = (c_minus, c_0, c_plus), with identity rows holding the two ends."""
+    main = np.full(n, 1.0 - dt * c_0)
+    lower = np.full(n - 1, -dt * c_minus)
+    upper = np.full(n - 1, -dt * c_plus)
+    main[0] = main[-1] = 1.0
+    upper[0] = lower[-1] = 0.0
+    return spla.splu(sp.diags([lower, main, upper], (-1, 0, 1), format="csc"))
+
+
+def _assert_constant_invariant(n, dxi, dt):
+    stepper = Stepper(n, dxi, dt, xi0=750.0)
+    const = np.full(n, 0.7)
+    np.testing.assert_allclose(stepper.step_weighted(const), const, rtol=1e-13)
 
 
 def small_config(**kw):
@@ -128,28 +148,68 @@ class TestStep:
 
     def test_instability_reported(self):
         g = GridFunction(0.0, 0.05, np.full(100, 2.0))
-        from kppfront.errors import NumericsError
-
         with pytest.raises(NumericsError, match="instability"):
             step(g, 0.0, 0.01)
+
+    def test_nan_raises_in_step_values(self):
+        # one NaN node would spread over the whole interior in one solve
+        u = np.linspace(1.0, 0.0, 200)
+        u[100] = np.nan
+        with pytest.raises(NumericsError, match="instability"):
+            Stepper(200, 0.05, 0.01).step_values(u)
+
+    def test_nan_raises_in_step(self):
+        u = np.linspace(1.0, 0.0, 200)
+        u[100] = np.nan
+        with pytest.raises(NumericsError, match="instability"):
+            step(GridFunction(0.0, 0.05, u), 0.0, 0.01)
 
     def test_marginal_mode_exactly_stationary(self):
         # e^{-xi} data is a constant in the weighted field; the linear solve
         # leaves it exactly invariant, which is the property the weighted
-        # scheme exists for
+        # scheme exists for.  At xi >= 750 e^{-xi} underflows to 0, so the
+        # sink vanishes and a step is the bare linear solve.
         n = 4000
         dxi, dt = 0.05, 0.01
-        stepper = Stepper(n, dxi, dt, xi0=0.0)
-        const = np.full(n, 0.7)
-        out = stepper._lu.solve(const.copy())
-        np.testing.assert_allclose(out, const, rtol=1e-13)
+        _assert_constant_invariant(n, dxi, dt)
         # with the quadratic sink included the deviation is O(dt amplitude^2)
+        stepper = Stepper(n, dxi, dt, xi0=0.0)
         eps = 1e-3
         xi = dxi * np.arange(n)
         u = eps * np.exp(-xi)
         out_u = stepper.step_values(u.copy())
         interior = slice(50, n - 50)
         assert np.max(np.abs(out_u[interior] - u[interior])) <= 1.5 * dt * eps * eps
+
+    def test_marginal_mode_exactly_stationary_critical_grid(self):
+        _assert_constant_invariant(10688, 0.1, 0.1)
+
+    @pytest.mark.parametrize("n,dxi,dt,k", [(6644, 0.05, 0.01, 0.0), (10688, 0.1, 0.1, -2.0)])
+    def test_matches_full_matrix_oracle(self, n, dxi, dt, k):
+        # the eliminated-boundary LDL^T solve against a full n x n solve that
+        # keeps the two Dirichlet rows, on both production grids
+        xi_min = -60.0
+        cfg = SimConfig(k=k, xi_min=xi_min, xi_max=xi_min + dxi * (n - 1), dxi=dxi, dt=dt,
+                        t_end=100.0)
+        assert cfg.n_nodes == n
+        ub = init_front_data_weighted(cfg)
+        stepper = Stepper(n, dxi, dt, xi0=xi_min)
+        for _ in range(20):
+            ub = stepper.step_weighted(ub)
+        c = 1.0 / (2.0 * (math.cosh(dxi) - 1.0))  # (1, -2, 1) / (rho dxi^2)
+        lu = _dirichlet_splu(n, dt, c, -2.0 * c, c)
+        with np.errstate(under="ignore"):
+            rhs = ub - dt * (np.exp(-(xi_min + dxi * np.arange(n))) * ub * ub)
+        rhs[0], rhs[-1] = ub[0], ub[-1]
+        np.testing.assert_allclose(stepper.step_weighted(ub), lu.solve(rhs), rtol=1e-11, atol=0.0)
+
+    def test_step_leaves_input_untouched(self):
+        stepper = Stepper(200, 0.05, 0.01)
+        ub = stepper.to_weighted(np.linspace(1.0, 0.0, 200))
+        before = ub.copy()
+        out = stepper.step_weighted(ub)
+        assert out is not ub
+        np.testing.assert_array_equal(ub, before)
 
     def test_centered_stencil_would_drift(self):
         # same experiment with plain centered coefficients: the marginal mode
@@ -162,24 +222,27 @@ class TestStep:
         cm, c0, cp = fitted_stencil(dxi)
         g_fit = np.exp(-xi[2000])  # placeholder to keep shapes obvious
         assert g_fit > 0
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
         cm_c = 1.0 / dxi**2 - 1.0 / dxi
         cp_c = 1.0 / dxi**2 + 1.0 / dxi
         c0_c = -2.0 / dxi**2
-        main = np.full(n, 1.0 - dt * c0_c)
-        lower = np.full(n - 1, -dt * cm_c)
-        upper = np.full(n - 1, -dt * cp_c)
-        main[0] = main[-1] = 1.0
-        upper[0] = lower[-1] = 0.0
-        lu = spla.splu(sp.diags([lower, main, upper], (-1, 0, 1), format="csc"))
+        lu = _dirichlet_splu(n, dt, cm_c, c0_c, cp_c)
         rhs = u + dt * u
         rhs[0], rhs[-1] = u[0], u[-1]
         out = lu.solve(rhs)
         decay = out[2000] / u[2000]
         predicted = 1.0 - dt * dxi**2 / 4.0
         np.testing.assert_allclose(decay, predicted, rtol=1e-3)
+
+
+class TestStencil:
+    @pytest.mark.parametrize("h", [0.025, 0.05, 0.1, 0.2])
+    def test_weight_free_of_cancellation(self, h):
+        # rho = 2(cosh h - 1)/h^2 read back from c_0 = -2/(rho h^2), against
+        # its Taylor series; the cosh h - 1 form is off by ~3e-14 at h = 0.05
+        _, c0, _ = fitted_stencil(h)
+        rho = -2.0 / (c0 * h * h)
+        series = 1.0 + h**2 / 12 + h**4 / 360 + h**6 / 20160 + h**8 / 1814400 + h**10 / 239500800
+        assert abs(rho / series - 1.0) <= 2e-15
 
 
 class TestExtractLevel:

@@ -153,3 +153,12 @@ class TestCsvExport:
         cols = read_csv_columns(out)
         assert list(cols) == ["z", "value"]
         np.testing.assert_array_equal(np.asarray(cols["value"]), wave.values)
+
+
+class TestCachedProfilesReadOnly:
+    def test_writes_raise(self, wave):
+        # the lru_cache hands the same profile to every caller
+        for profile in (wave, phi_gamma(2.0)):
+            for arr in (profile.values, profile.dvalues):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
