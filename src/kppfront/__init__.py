@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import DomainError, LevelNotAttainedError, NumericsError, TailFitError
 from .grid import GridFunction
 from .special import (
-    SelfSimProfile,
     gamma,
     kummer_1f1,
     kummer_1f1_prime,
@@ -42,7 +41,6 @@ __all__ = [
     "GridFunction",
     "LevelNotAttainedError",
     "NumericsError",
-    "SelfSimProfile",
     "SimConfig",
     "SimResult",
     "TailFitError",

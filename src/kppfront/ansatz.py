@@ -20,7 +20,7 @@ from . import heatkernel
 from .errors import DomainError
 from .report import VerificationReport
 from .special import w_eval, w_prime_eval
-from .waves import WaveProfile, minimal_wave, phi_gamma
+from .waves import minimal_wave, phi_gamma
 
 SIGN_TOL = 1e-12
 SAFETY = 2.0
@@ -299,13 +299,12 @@ def check_tw_shift(
     z_range: tuple[float, float] = (-20.0, 40.0),
     n_t: int = 24,
     n_z: int = 160,
-    profile: WaveProfile | None = None,
 ) -> VerificationReport:
     """Residual of the log-shifted wave U(x - 2t + r ln(t + t0)):
         L v = (r / (t + t0)) U'(z).
     Super-solution for k >= 1 (r <= 0), sub-solution for k <= 1 (r >= 0)."""
     r = 0.5 * (1.0 - k)
-    wave = profile if profile is not None else minimal_wave()
+    wave = minimal_wave()
     ts = _t_grid(t_range[0], t_range[1], n_t)
     zs = np.linspace(max(z_range[0], wave.z0), min(z_range[1], wave.z_max), n_z)
     du = wave.derivative(zs)
@@ -335,13 +334,6 @@ def check_tw_shift(
         verdict="pass" if ok else "fail",
         details={"k": k, "r": r, "t0": t0, "acts_as": kind},
     )
-
-
-def tw_shift_residual(k: float, t0: float, t: float, z) -> np.ndarray:
-    """(r / (t + t0)) U'(z): exposed for the antisymmetry property in k."""
-    r = 0.5 * (1.0 - k)
-    wave = minimal_wave()
-    return (r / (t + t0)) * wave.derivative(np.asarray(z, dtype=float))
 
 
 def check_phi_eta_sub(

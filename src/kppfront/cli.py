@@ -12,13 +12,12 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, ansatz, frontfit, heatkernel, sim
 from .errors import DomainError, NumericsError
 from .io import atomic_write_text, read_csv_columns, write_csv
-from .report import VerificationReport, reports_to_csv
+from .report import reports_to_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,38 +78,32 @@ def cmd_simulate(args) -> int:
             "dxi": config.dxi, "dt": config.dt, "t_end": config.t_end,
             "levels": list(config.levels),
             "snapshot_times": list(config.snapshot_times),
+        }, "diagnostics": {
+            "clamp_total": result.clamp_total,
+            "boundary_alarm": result.boundary_alarm,
         }},
     )
     print(f"simulate k={config.k:g}: {len(outputs)} files under {out_dir}")
     return EXIT_OK
 
 
-def _suite_checks(suite: str, epsilon_scale: float):
-    """Closures for one suite's independent checks, in a fixed order."""
+def _suite_reports(suite: str) -> list:
+    """One suite's certificate reports, in a fixed order."""
     if suite == "supersolutions":
-        jobs = [lambda r=r: ansatz.check_supersolution(r) for r in _R_SET]
-        jobs += [lambda r=r: ansatz.check_linear_residual_identity(r, max(r, 0.0))
-                 for r in (0.0, 0.5, 1.0)]
-        jobs += [lambda k=k: ansatz.check_tw_shift(k) for k in (1.0, 3.0)]
-        return jobs
+        return ([ansatz.check_supersolution(r) for r in _R_SET]
+                + [ansatz.check_linear_residual_identity(r, max(r, 0.0)) for r in (0.0, 0.5, 1.0)]
+                + [ansatz.check_tw_shift(k) for k in (1.0, 3.0)])
     if suite == "subsolutions":
-        jobs = [lambda r=r: ansatz.check_subsolution(r, epsilon_scale=epsilon_scale)
-                for r in _R_SET]
-        jobs += [lambda r=r: ansatz.check_linear_residual_identity(r, r - 2.0)
-                 for r in (0.5, 1.0)]
-        jobs += [lambda r=r: ansatz.check_phi_eta_sub(r) for r in (-1.0, -0.25)]
-        jobs += [lambda k=k: ansatz.check_tw_shift(k) for k in (0.0,)]
-        return jobs
+        return ([ansatz.check_subsolution(r) for r in _R_SET]
+                + [ansatz.check_linear_residual_identity(r, r - 2.0) for r in (0.5, 1.0)]
+                + [ansatz.check_phi_eta_sub(r) for r in (-1.0, -0.25)]
+                + [ansatz.check_tw_shift(0.0)])
     if suite == "critical":
-        return [
-            lambda: ansatz.check_critical_sub(),
-            lambda: ansatz.check_critical_super(),
-        ]
+        return [ansatz.check_critical_sub(), ansatz.check_critical_super()]
     if suite == "heat":
-        jobs = [lambda t=t: heatkernel.verify_midrange_band(t) for t in (1e3, 1e5, 1e7)]
-        jobs += [lambda: heatkernel.verify_weighted_sup_exponent(0.1)]
-        jobs += [lambda: heatkernel.gradient_bound_constant()[1]]
-        return jobs
+        return ([heatkernel.verify_midrange_band(t) for t in (1e3, 1e5, 1e7)]
+                + [heatkernel.verify_weighted_sup_exponent(0.1),
+                   heatkernel.gradient_bound_constant()[1]])
     raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
 
 
@@ -119,12 +112,7 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        jobs = _suite_checks(args.suite, args.epsilon_scale)
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                reports = list(pool.map(lambda j: j(), jobs))
-        else:
-            reports = [job() for job in jobs]
+        reports = _suite_reports(args.suite)
     except DomainError as exc:
         print(f"suite {args.suite} rejected a spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -282,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a certificate suite")
     p_ver.add_argument("--suite", required=True, help=f"one of {', '.join(SUITES)}")
     p_ver.add_argument("--out", default=".", help="where to write the report CSV")
-    p_ver.add_argument("--threads", type=int, default=1, help="fan independent checks out")
-    p_ver.add_argument("--epsilon-scale", type=float, default=1.0,
-                       help="scale the auto-chosen epsilon (smoke-test the rejection path)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_fit = sub.add_parser("fit", help="fit drift laws to a level trace CSV")
@@ -301,8 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help/--version
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except NumericsError as exc:

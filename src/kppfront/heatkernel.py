@@ -20,6 +20,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, NumericsError
 from .report import VerificationReport
+from .sim import front_data_log_weighted
 
 # Gaussian factor below 1e-18 of its peak is dropped.
 _TRUNC_LOG = math.log(1e18)
@@ -106,21 +107,18 @@ def v_dirichlet(
     return QuadratureResult(pref * res.value, pref * res.abs_error_estimate, res.evaluations)
 
 
-def v_dirichlet_dx(
-    t: float, x: float, tol: float = 1e-12, data: Callable[[float], float] | None = None
-) -> QuadratureResult:
+def v_dirichlet_dx(t: float, x: float, tol: float = 1e-12) -> QuadratureResult:
     """Spatial derivative of v_dirichlet via the differentiated kernel."""
     if not t > 0.0:
         raise DomainError("t must be positive")
     if x < 0.0:
         raise DomainError("x must be nonnegative")
-    v0 = critical_data if data is None else data
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
 
     def integrand(y: float) -> float:
         a = math.exp(-((x - y) ** 2) / (4.0 * t))
         b = math.exp(-((x + y) ** 2) / (4.0 * t))
-        return (-(x - y) * a + (x + y) * b) / (2.0 * t) * v0(y)
+        return (-(x - y) * a + (x + y) * b) / (2.0 * t) * critical_data(y)
 
     res = _piecewise_quad(integrand, _dirichlet_edges(t, x, (1.0,)), tol / pref)
     return QuadratureResult(pref * res.value, pref * res.abs_error_estimate, res.evaluations)
@@ -168,53 +166,19 @@ def verify_midrange_band(t: float, x_samples=None, tol: float = 1e-13) -> Verifi
     )
 
 
-def _default_front_data(k: float, A: float) -> Callable[[float], float]:
-    def u0(y: float) -> float:
-        if y <= 0.0:
-            return 1.0
-        if y >= 1.0:
-            return min(1.0, A * y**k * math.exp(-y))
-        return math.exp(math.log(min(1.0, A * math.exp(-1.0))) * y)
-
-    return u0
-
-
-def _default_front_data_ln(k: float, A: float) -> Callable[[float], float]:
-    """ln u0 evaluated without passing through linear space, so the e^{-y}
-    tail never underflows inside the e^t-weighted exponent."""
-    ln_a = math.log(A)
-
-    def ln_u0(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        if y >= 1.0:
-            return min(0.0, ln_a + k * math.log(y) - y)
-        return min(0.0, ln_a - 1.0) * y
-
-    return ln_u0
-
-
 def v_wholeline_kpp_log(
-    t: float, x: float, k: float, A: float, tol: float = 1e-8,
-    data: Callable[[float], float] | None = None,
+    t: float, x: float, k: float, A: float, tol: float = 1e-8
 ) -> tuple[float, float, int]:
-    """ln of e^t * (heat kernel * u0)(x): the growth factor is folded into the
+    """ln of e^t * (heat kernel * u0)(x) for the front-like datum u0 of
+    sim.front_data_log_weighted: the growth factor is folded into the
     quadrature exponent, and the result is returned in log scale so ratios stay
     meaningful when e^t G u0 underflows doubles.  Returns (ln v, rel_err, neval)."""
     if not t > 0.0:
         raise DomainError("t must be positive")
-    if data is not None:
-        def ln_u0(y: float) -> float:
-            d = data(y)
-            return math.log(d) if d > 0.0 else -math.inf
-    else:
-        ln_u0 = _default_front_data_ln(k, A)
 
     def exponent(y: float) -> float:
-        ln_d = ln_u0(y)
-        if ln_d == -math.inf:
-            return -math.inf
-        return t - (x - y) ** 2 / (4.0 * t) + ln_d
+        ln_u0 = float(front_data_log_weighted(y, k, A)) - y
+        return t - (x - y) ** 2 / (4.0 * t) + ln_u0
 
     # candidate maxima: the e^{-y}-tail saddle at x - 2t, the kernel peak at x
     # (relevant only for non-decaying data), and the data kinks
@@ -243,16 +207,6 @@ def v_wholeline_kpp_log(
     ln_v = math.log(res.value) + g0 + math.log(pref)
     rel = res.abs_error_estimate / res.value
     return ln_v, rel, res.evaluations
-
-
-def v_wholeline_kpp(t: float, x: float, k: float, A: float, tol: float = 1e-8) -> QuadratureResult:
-    """e^t-weighted gaussian quadrature against the front-like data; underflows
-    to 0.0 only when the true value does (use the _log variant for ratios)."""
-    ln_v, rel, neval = v_wholeline_kpp_log(t, x, k, A, tol)
-    if ln_v < -745.0:
-        return QuadratureResult(0.0, 0.0, neval)
-    value = math.exp(ln_v)
-    return QuadratureResult(value, abs(value) * rel, neval)
 
 
 def gradient_bound_constant(

@@ -46,6 +46,11 @@ Range guard.  After each step u must lie in [-OVERSHOOT_TOL,
 NumericsError.  Rounding-level overshoot is clipped back to [0, 1] and its
 size accumulated in Stepper.clamp_total.
 
+Initial datum.  The front-like datum u0 ~ A xi^k e^{-xi} is defined once,
+in weighted log space, by front_data_log_weighted = ln(e^{xi} u0).  The
+weighted initial state is its exp, the plain-u datum is exp(. - xi), and the
+whole-line heat oracle in heatkernel uses the same function.
+
 The public surface (initial data, steps, snapshots, level extraction) speaks
 plain u throughout.
 """
@@ -68,9 +73,6 @@ log = logging.getLogger(__name__)
 # Largest accepted step; the explicit sink stays monotone up to dt = 1/2 (see
 # the reaction bound above), the implicit part at any dt.
 DT_MAX = 0.1
-# Values this small are far below anything measured; flushing them avoids
-# denormal arithmetic in the far tail.
-TINY_FLUSH = 1e-280
 # Out-of-range guard before clamping.
 OVERSHOOT_TOL = 1e-9
 # Width coefficient of the diffusive zone the domain must contain.
@@ -256,35 +258,32 @@ class Stepper:
         return self.to_linear(self.step_weighted(self.to_weighted(u)))
 
 
+def front_data_log_weighted(xi, k: float, amplitude: float) -> np.ndarray:
+    """ln(e^{xi} u0) for the front-like datum u0: 1 on xi <= 0, the
+    A xi^k e^{-xi} tail (capped at 1) from xi = 1 on, and a log-linear bridge
+    on (0, 1).  The one definition of the datum; the simulator and the
+    whole-line heat oracle both derive from it.  Weighted log space keeps the
+    tail polynomial-sized where u0 underflows doubles, and avoids the
+    cancellation of xi against ln u0 ~ -xi."""
+    xi = np.asarray(xi, dtype=float)
+    ln_a = math.log(amplitude)
+    bridge = (1.0 + min(0.0, ln_a - 1.0)) * xi
+    tail = np.minimum(xi, ln_a + k * np.log(np.maximum(xi, 1.0)))
+    return np.where(xi <= 0.0, xi, np.where(xi < 1.0, bridge, tail))
+
+
 def init_front_data(config: SimConfig) -> GridFunction:
-    """Front-like initial data: 1 on xi <= 0, the A xi^k e^{-xi} tail beyond 1,
-    log-linear bridge on (0, 1), clamped at the stable state 1."""
+    """The front-like datum in plain u; underflows to 0 past xi ~ 745."""
     xi = config.xi_min + config.dxi * np.arange(config.n_nodes)
-    u = np.ones(config.n_nodes)
-    k, A = config.k, config.amplitude
-    tail = xi >= 1.0
     with np.errstate(under="ignore"):
-        u[tail] = np.minimum(1.0, A * xi[tail] ** k * np.exp(-xi[tail]))
-    bridge = (xi > 0.0) & (xi < 1.0)
-    u1 = min(1.0, A * math.exp(-1.0))
-    u[bridge] = np.exp(math.log(u1) * xi[bridge])
-    u[u < TINY_FLUSH] = 0.0
+        u = np.exp(front_data_log_weighted(xi, config.k, config.amplitude) - xi)
     return GridFunction(config.xi_min, config.dxi, u)
 
 
 def init_front_data_weighted(config: SimConfig) -> np.ndarray:
-    """Weighted image e^{xi} u0 built directly in weighted space, so the tail
-    keeps its polynomial size where e^{-xi} alone underflows doubles."""
+    """Weighted image e^{xi} u0, polynomial-sized where u0 underflows."""
     xi = config.xi_min + config.dxi * np.arange(config.n_nodes)
-    k, A = config.k, config.amplitude
-    with np.errstate(over="ignore"):
-        ub = np.exp(np.minimum(xi, 0.0))  # e^{xi} left of 0, 1 at the origin
-        tail = xi >= 1.0
-        ub[tail] = np.minimum(np.exp(xi[tail]), A * xi[tail] ** k)
-        bridge = (xi > 0.0) & (xi < 1.0)
-        u1 = min(1.0, A * math.exp(-1.0))
-        ub[bridge] = np.exp((1.0 + math.log(u1)) * xi[bridge])
-    return ub
+    return np.exp(front_data_log_weighted(xi, config.k, config.amplitude))
 
 
 def step(state: GridFunction, t: float, dt: float) -> GridFunction:

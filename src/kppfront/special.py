@@ -9,7 +9,6 @@ of the same Cauchy problem serves as the independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,32 +187,3 @@ def w_ode_oracle(r: float, y_max: float, n: int) -> GridFunction:
         y = y4
         out[i + 1] = w
     return GridFunction(0.0, h, out)
-
-
-@dataclass
-class SelfSimProfile:
-    """Tail profile parameters: drift r, tail exponent k = 1 - 2r, and the
-    constant C in w(y) ~ C y^k."""
-
-    r: float
-    k: float
-    C_asym: float
-
-    def __post_init__(self):
-        if self.k != 1.0 - 2.0 * self.r:
-            raise DomainError("profile requires k = 1 - 2r exactly")
-        if self.r < 1.5 and not self.C_asym > 0.0:
-            raise DomainError("C_asym must be positive for r < 3/2")
-
-    @classmethod
-    def for_drift(cls, r: float) -> "SelfSimProfile":
-        _check_r(r)
-        if r == 1.5:
-            raise DomainError("r = 3/2 is the gaussian regime; no algebraic profile")
-        return cls(r=r, k=1.0 - 2.0 * r, C_asym=w_asymptotic_constant(r))
-
-    def w(self, y: float) -> float:
-        return w_eval(self.r, y)
-
-    def w_prime(self, y: float) -> float:
-        return w_prime_eval(self.r, y)

@@ -20,7 +20,6 @@ from kppfront.ansatz import (
     psi_eval,
     subsolution_constants,
     supersolution_constants,
-    tw_shift_residual,
 )
 from kppfront.heatkernel import v_dirichlet, v_dirichlet_dx
 from kppfront.special import w_eval, w_prime_eval
@@ -196,11 +195,13 @@ class TestTwShift:
         assert rep.passed and rep.details["acts_as"] == "sub"
 
     def test_antisymmetry_around_k_one(self):
-        z = np.linspace(-15.0, 30.0, 50)
+        # r = (1 - k)/2 changes sign under k -> 2 - k, and so does the
+        # residual: a sub-solution turns into a super-solution
         for k in (0.0, 0.5, 3.0):
-            a = tw_shift_residual(k, 1.0, 10.0, z)
-            b = tw_shift_residual(2.0 - k, 1.0, 10.0, z)
-            np.testing.assert_allclose(a, -b, atol=1e-12)
+            a, b = check_tw_shift(k), check_tw_shift(2.0 - k)
+            assert a.passed and b.passed
+            assert {a.details["acts_as"], b.details["acts_as"]} == {"sub", "super"}
+            assert a.worst_signed_residual == -b.worst_signed_residual
 
     def test_fd_validates_shift_residual(self):
         wave = minimal_wave()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from kppfront import DomainError
 from kppfront.heatkernel import (
@@ -16,7 +17,6 @@ from kppfront.heatkernel import (
     v_dirichlet,
     v_dirichlet_dx,
     v_dirichlet_sinh_form,
-    v_wholeline_kpp,
     v_wholeline_kpp_log,
     verify_weighted_sup_exponent,
     verify_midrange_band,
@@ -153,12 +153,15 @@ class TestMidrangeBand:
 
 
 class TestWholeLine:
-    def test_unit_data_gives_exp_t(self):
-        res = v_wholeline_kpp_log(3.0, 1.7, 0.0, 1.0, data=lambda y: 1.0)
-        np.testing.assert_allclose(res[0], 3.0, atol=1e-9)
-        val = v_wholeline_kpp(3.0, 1.7, 0.0, 1.0)
-        # front data is 1 only left of 0; full unit data must beat it
-        assert val.value < math.exp(3.0)
+    @pytest.mark.parametrize("t,x", [(0.5, -1.0), (3.0, 1.7), (10.0, 25.0), (50.0, 80.0),
+                                     (400.0, 820.0)])
+    def test_exact_solution_k0_a1(self, t, x):
+        # k = 0, A = 1 gives u0 = min(1, e^{-y}) exactly, bridge included, and
+        # e^t G * u0 = e^t [erfc(x/2 sqrt t) + e^{t-x} erfc((2t - x)/2 sqrt t)] / 2
+        s = 2.0 * math.sqrt(t)
+        exact = t + math.log(0.5 * (erfc(x / s) + math.exp(t - x) * erfc((2.0 * t - x) / s)))
+        ln_v, _, _ = v_wholeline_kpp_log(t, x, 0.0, 1.0)
+        assert abs(ln_v - exact) <= 1e-12
 
     def test_limit_constant_k2_c1(self):
         k, c, A, t = 2.0, 1.0, 1.0, 400.0
@@ -180,13 +183,6 @@ class TestWholeLine:
             ln_v, _, _ = v_wholeline_kpp_log(t, x, k, A)
             ratio = math.exp(ln_v - 0.5 * k * math.log(t) + c * math.sqrt(t))
             assert ratio <= 2.0 * limit
-
-    def test_value_route_at_moderate_t(self):
-        # direct value stays representable here and matches the log route
-        t, x = 400.0, 820.0
-        res = v_wholeline_kpp(t, x, 2.0, 1.0)
-        ln_v, _, _ = v_wholeline_kpp_log(t, x, 2.0, 1.0)
-        np.testing.assert_allclose(math.log(res.value), ln_v, atol=1e-12)
 
 
 class TestWeightedSup:

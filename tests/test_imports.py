@@ -1,0 +1,38 @@
+"""Every name a module of the package imports is used in that module.
+
+The package's __init__ imports names only to re-export them, so it is
+exempt.  Uses are found with the stdlib ast module: a bound name counts as
+used when it appears as a Name anywhere in the module, annotations included.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "kppfront"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_checker_flags_an_unused_name():
+    source = "import os\nfrom math import pi, tau\nimport numpy as np\nprint(pi, np.e)\n"
+    assert unused_imports(source) == [(1, "os"), (2, "tau")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -75,7 +75,49 @@ class TestConfig:
             config_from_mapping({"k": "1", "bogus": "2"})
 
 
+def _front_data_weighted_closed_form(xi, k, A):
+    """e^{xi} u0 written out: e^{xi} on xi <= 0, e^{xi} u1^{xi} with
+    u1 = min(1, A/e) on the bridge (0, 1), min(e^{xi}, A xi^k) beyond."""
+    with np.errstate(over="ignore"):
+        out = np.exp(xi)
+        bridge = (xi > 0.0) & (xi < 1.0)
+        out[bridge] *= min(1.0, A / math.e) ** xi[bridge]
+        tail = xi >= 1.0
+        out[tail] = np.minimum(out[tail], A * xi[tail] ** k)
+    return out
+
+
+# the k-run grid (n = 6,644) and the critical grid (n = 10,688)
+PRODUCTION_GRIDS = [
+    (dict(k=k, t_end=5000.0), 6644) for k in (3.0, 1.0, 0.0, -1.0)
+] + [(dict(k=-2.0, t_end=1e5, dxi=0.1, dt=0.1), 10688)]
+
+
 class TestInitFrontData:
+    @pytest.mark.parametrize("A", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("kw,n", PRODUCTION_GRIDS)
+    def test_weighted_matches_closed_form(self, kw, n, A):
+        cfg = SimConfig(amplitude=A, **kw)
+        assert cfg.n_nodes == n
+        xi = cfg.xi_min + cfg.dxi * np.arange(n)
+        expected = _front_data_weighted_closed_form(xi, cfg.k, A)
+        np.testing.assert_allclose(init_front_data_weighted(cfg), expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("A", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("kw,n", PRODUCTION_GRIDS)
+    def test_plain_is_weighted_times_decay(self, kw, n, A):
+        cfg = SimConfig(amplitude=A, **kw)
+        u0 = init_front_data(cfg)
+        u, xi = u0.values, u0.grid()
+        with np.errstate(under="ignore"):
+            expected = np.exp(-xi) * _front_data_weighted_closed_form(xi, cfg.k, A)
+        normal = expected >= np.finfo(float).tiny
+        # u = exp(ln(e^{xi} u0) - xi) rounds its exponent, an error of about
+        # |xi| ulp relative to u (5.8e-14 at xi ~ 700)
+        bound = (4.0 + np.abs(xi[normal])) * np.finfo(float).eps * expected[normal]
+        assert np.all(np.abs(u[normal] - expected[normal]) <= bound)
+        assert np.all(u[~normal] < np.finfo(float).tiny)
+
     def test_pure_exponential_tail_point(self):
         cfg = small_config(k=0.0, amplitude=1.0)
         u0 = init_front_data(cfg)

@@ -9,7 +9,6 @@ import pytest
 
 from kppfront import (
     DomainError,
-    SelfSimProfile,
     gamma,
     kummer_1f1,
     kummer_1f1_prime,
@@ -234,19 +233,3 @@ class TestAsymptoticConstant:
         k = 1.0 - 2.0 * r
         ratio = grid.values[-1] / 50.0**k
         np.testing.assert_allclose(ratio, w_asymptotic_constant(r), rtol=0.02)
-
-
-class TestSelfSimProfile:
-    def test_factory_consistency(self):
-        p = SelfSimProfile.for_drift(0.5)
-        assert p.k == 0.0
-        np.testing.assert_allclose(p.C_asym, math.sqrt(math.pi), rtol=1e-13)
-        np.testing.assert_allclose(p.w(100.0), math.sqrt(math.pi), atol=1e-4)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            SelfSimProfile(r=0.5, k=0.5, C_asym=1.0)
-        with pytest.raises(DomainError):
-            SelfSimProfile(r=0.5, k=0.0, C_asym=-1.0)
-        with pytest.raises(DomainError):
-            SelfSimProfile.for_drift(1.5)
