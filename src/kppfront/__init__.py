@@ -11,9 +11,6 @@ __version__ = "0.1.0"
 from .errors import DomainError, LevelNotAttainedError, NumericsError, TailFitError
 from .grid import GridFunction
 from .special import (
-    gamma,
-    kummer_1f1,
-    kummer_1f1_prime,
     w_asymptotic_constant,
     w_eval,
     w_ode_oracle,
@@ -50,10 +47,7 @@ __all__ = [
     "extract_level",
     "fit_critical",
     "fit_log_correction",
-    "gamma",
     "init_front_data",
-    "kummer_1f1",
-    "kummer_1f1_prime",
     "load_config",
     "minimal_wave",
     "ode_residual",

@@ -11,8 +11,6 @@ differences of the actual moving-frame ansatz functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,34 +24,22 @@ SIGN_TOL = 1e-12
 SAFETY = 2.0
 DELTA_SCAN_STEP = 1e-3
 
-DEFAULT_T_MAX = 1e6
+# psi checks: t in [t0, T_MAX] (geometric), y = z / sqrt t in [0, Y_MAX]
+T_MAX = 1e6
+Y_MAX = 50.0
 DEFAULT_N_T = 60
-DEFAULT_Y_MAX = 50.0
 DEFAULT_N_Y = 200
-
-
-@dataclass
-class AnsatzSpec:
-    """A named construction plus the constants it was instantiated with."""
-
-    kind: str  # psi_super | psi_sub | tw_shift | phi_eta_sub | dirichlet_sub | dirichlet_super
-    parameters: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        p = self.parameters
-        if self.kind == "psi_super" and p.get("r_prime") != max(p.get("r", 0.0), 0.0):
-            raise DomainError("psi_super requires r' = max(r, 0)")
-        if self.kind == "psi_sub" and p.get("r_prime") != p.get("r", 0.0) - 2.0:
-            raise DomainError("psi_sub requires r' = r - 2")
-        if self.kind == "phi_eta_sub":
-            r = p.get("r", 0.0)
-            if not r < 0.0:
-                raise DomainError("phi_eta_sub requires r < 0")
-            eta = math.sqrt(-r)
-            if p.get("eta") != eta or not math.isclose(
-                p.get("gamma", math.nan), math.exp(2.0 * eta), rel_tol=1e-12
-            ):
-                raise DomainError("phi_eta_sub requires eta = sqrt(-r), gamma = e^{2 eta}")
+# shifted wave U(x - 2t + r ln(t + TW_T0)): t in [1, T_MAX], z in TW_Z_RANGE
+TW_T0 = 1.0
+TW_Z_RANGE = (-20.0, 40.0)
+TW_GRID = (24, 160)
+# boosted damped profile: t in [PHI_T_MIN, T_MAX], y = z / sqrt t in [1e-3, 2]
+PHI_T_MIN = 10.0
+PHI_GRID = (24, 120)
+# critical checks: t up to CRITICAL_T_MAX, heat quadrature to CRITICAL_TOL
+CRITICAL_T_MAX = 1e8
+CRITICAL_SUB_GRID = (10, 8)
+CRITICAL_TOL = 1e-13
 
 
 def psi_eval(r: float, r_prime: float, t: float, z: float) -> float:
@@ -83,15 +69,10 @@ def _linear_residual_fd(u, t: float, x: float, h_t: float, h_x: float, nonlinear
     return out
 
 
-def fd_residual(u, t: float, x: float, nonlinear: bool = False,
-                h_t: float | None = None, h_x: float | None = None) -> float:
+def fd_residual(u, t: float, x: float, h_t: float, h_x: float, nonlinear: bool = False) -> float:
     """Richardson-refined centered-difference evaluation of the parabolic
     operator on an ansatz u(t, x).  Callers must size h_t/h_x so the stencil
     stays inside the ansatz support (moving-frame supports depend on t)."""
-    if h_t is None:
-        h_t = 5e-3 * t
-    if h_x is None:
-        h_x = 5e-3
     coarse = _linear_residual_fd(u, t, x, h_t, h_x, nonlinear)
     fine = _linear_residual_fd(u, t, x, 0.5 * h_t, 0.5 * h_x, nonlinear)
     return (4.0 * fine - coarse) / 3.0
@@ -103,13 +84,11 @@ _DEFAULT_IDENTITY_SAMPLES = tuple(
 
 
 def check_linear_residual_identity(
-    r: float, r_prime: float, samples=None
+    r: float, r_prime: float, samples=_DEFAULT_IDENTITY_SAMPLES
 ) -> VerificationReport:
     """Closed form of the linearized residual of the moving-frame ansatz,
         L u = r' e^{-z} t^{-(1 + r - r')} w'(z / sqrt t),
     against finite differences; relative mismatch must stay below 1e-4."""
-    if samples is None:
-        samples = _DEFAULT_IDENTITY_SAMPLES
     u = _moving_frame_ansatz(r, r_prime)
     worst = 0.0
     for t, z in samples:
@@ -121,7 +100,7 @@ def check_linear_residual_identity(
         # sized to the z-scale (not to t) and kept clear of the z = 0 edge
         h_t = min(2.5e-3, z / 10.0)
         h_x = min(5e-3, z / 10.0)
-        fd = fd_residual(u, t, x, nonlinear=False, h_t=h_t, h_x=h_x)
+        fd = fd_residual(u, t, x, h_t, h_x)
         scale = max(abs(closed), 1e-2 * abs(u(t, x)), 1e-300)
         worst = max(worst, abs(fd - closed) / scale)
     return VerificationReport(
@@ -152,70 +131,72 @@ def _t_grid(t0: float, t_max: float, n_t: int) -> np.ndarray:
     return np.geomspace(t0, t_max, n_t)
 
 
-def supersolution_constants(r: float, y_max: float = DEFAULT_Y_MAX) -> dict:
+def _sign_scan(ts, signed_at, sense: str):
+    """Worst normalized residual of a sign condition over the t grid.
+
+    signed_at(t) returns the normalized signed residuals at one t and the
+    sample points they sit at.  sense is "super" (residual >= 0: the worst is
+    the minimum) or "sub" (residual <= 0: the worst is the maximum).  Returns
+    (worst, worst_at, verdict): worst_at is the first (t, point) attaining the
+    worst, and the verdict allows SIGN_TOL of the wrong sign."""
+    flip = 1.0 if sense == "super" else -1.0  # the worst is the minimum of flip * residual
+    worst, worst_at = math.inf, None
+    for t in ts:
+        signed, points = signed_at(t)
+        flipped = flip * np.asarray(signed)
+        i = int(np.argmin(flipped))
+        if flipped[i] < worst:
+            worst, worst_at = float(flipped[i]), (float(t), float(points[i]))
+    return flip * worst, worst_at, "pass" if worst >= -SIGN_TOL else "fail"
+
+
+def supersolution_constants(r: float) -> dict:
     """Admissible (delta, M, t0) for the delayed-frame super-solution."""
     if r <= 0.0:
         return {"r": r, "r_prime": 0.0, "delta": math.nan, "M": 0.0, "t0": 4.0}
     delta = _scan_delta(r, 0.0)
-    ys = np.arange(delta, y_max + 1e-9, 1e-2)
+    ys = np.arange(delta, Y_MAX + 1e-9, 1e-2)
     ratio = max(2.0 * r * abs(w_prime_eval(r, y)) / w_eval(r, y) for y in ys)
     M = SAFETY * ratio
     t0 = max((2.0 * M) ** 2, 4.0)
     return {"r": r, "r_prime": r, "delta": delta, "M": M, "t0": t0}
 
 
-def check_supersolution(
-    r: float,
-    t_range: tuple[float, float] | None = None,
-    y_max: float = DEFAULT_Y_MAX,
-    n_t: int = DEFAULT_N_T,
-    n_y: int = DEFAULT_N_Y,
-) -> VerificationReport:
+def _psi_domain(t0: float, n_t: int, n_y: int) -> dict:
+    return {"t": f"[{t0:g}, {T_MAX:g}]", "y": f"[0, {Y_MAX:g}]", "grid": f"{n_t}x{n_y}"}
+
+
+def check_supersolution(r: float, n_t: int = DEFAULT_N_T, n_y: int = DEFAULT_N_Y) -> VerificationReport:
     """Sign certificate for the bracket
         (1 - M/sqrt t) r' w'(y) + (M/2) w(y),  y = z / sqrt t,
     which must be >= 0 for the damped psi ansatz to be a super-solution."""
-    consts = supersolution_constants(r, y_max)
+    consts = supersolution_constants(r)
     r_prime, M, t0 = consts["r_prime"], consts["M"], consts["t0"]
-    spec = AnsatzSpec("psi_super", {"r": r, "r_prime": max(r, 0.0), **consts})
-    if t_range is None:
-        t_range = (t0, DEFAULT_T_MAX)
-    if t_range[0] < t0 - 1e-9:
-        raise DomainError(f"t range must start at or after t0 = {t0:g}")
-    ts = _t_grid(t_range[0], t_range[1], n_t)
-    ys = np.linspace(0.0, y_max, n_y)
+    ys = np.linspace(0.0, Y_MAX, n_y)
     w_arr = np.array([w_eval(r, y) for y in ys])
     wp_arr = np.array([w_prime_eval(r, y) for y in ys])
-    worst = math.inf
-    worst_at = None
-    for t in ts:
+    scale = np.maximum(abs(r_prime) * np.abs(wp_arr) + 0.5 * M * w_arr, 1e-300)
+
+    def signed_at(t):
         bracket = (1.0 - M / math.sqrt(t)) * r_prime * wp_arr + 0.5 * M * w_arr
-        scale = np.maximum(
-            abs(r_prime) * np.abs(wp_arr) + 0.5 * M * w_arr, 1e-300
-        )
-        signed = bracket / scale
-        i = int(np.argmin(signed))
-        if signed[i] < worst:
-            worst = float(signed[i])
-            worst_at = (float(t), float(ys[i]))
-    if r <= 0.0:
-        worst = 0.0  # bracket is identically zero: M = 0 and r' = 0
-    verdict = "pass" if worst >= -SIGN_TOL else "fail"
+        return bracket / scale, ys
+
+    worst, worst_at, verdict = _sign_scan(_t_grid(t0, T_MAX, n_t), signed_at, "super")
     return VerificationReport(
         name=f"psi_super_r{r:g}",
-        domain={"t": f"[{t_range[0]:g}, {t_range[1]:g}]", "y": f"[0, {y_max:g}]",
-                "grid": f"{n_t}x{n_y}"},
+        domain=_psi_domain(t0, n_t, n_y),
         worst_signed_residual=worst,
         verdict=verdict,
-        details={**spec.parameters, "worst_at": worst_at},
+        details={**consts, "worst_at": worst_at},
     )
 
 
-def subsolution_constants(r: float, y_max: float = DEFAULT_Y_MAX) -> dict:
+def subsolution_constants(r: float) -> dict:
     """Admissible (delta, M, epsilon, t0) for the fast-decaying sub-solution."""
     r_prime = r - 2.0
     delta = _scan_delta(r, 0.5)
     k = 1.0 - 2.0 * r
-    ys = np.arange(delta, y_max + 1e-9, 1e-2)
+    ys = np.arange(delta, Y_MAX + 1e-9, 1e-2)
     w_vals = np.array([w_eval(r, y) for y in ys])
     wp_vals = np.array([w_prime_eval(r, y) for y in ys])
     m_quoted = max(
@@ -236,19 +217,13 @@ def subsolution_constants(r: float, y_max: float = DEFAULT_Y_MAX) -> dict:
     }
 
 
-def check_subsolution(
-    r: float,
-    t_range: tuple[float, float] | None = None,
-    y_max: float = DEFAULT_Y_MAX,
-    n_t: int = DEFAULT_N_T,
-    n_y: int = DEFAULT_N_Y,
-    epsilon_scale: float = 1.0,
-) -> VerificationReport:
+def check_subsolution(r: float, n_t: int = DEFAULT_N_T, n_y: int = DEFAULT_N_Y,
+                      epsilon_scale: float = 1.0) -> VerificationReport:
     """Sign certificate for the braced sub-solution expression
         -(M/2) w + (1 + M/sqrt t) [ r' w' + (1 + M/sqrt t) eps e^{-z} w^2 ],
     z = y sqrt t, which must be <= 0.  Specs violating the epsilon bound are
     rejected up front (the bound is a hard precondition of the construction)."""
-    consts = subsolution_constants(r, y_max)
+    consts = subsolution_constants(r)
     r_prime, M, t0 = consts["r_prime"], consts["M"], consts["t0"]
     eps = consts["epsilon"] * epsilon_scale
     if eps >= consts["epsilon_bound"]:
@@ -256,18 +231,11 @@ def check_subsolution(
             f"epsilon = {eps:.3e} violates the admissible bound "
             f"{consts['epsilon_bound']:.3e} (zone z <= delta sqrt t fails)"
         )
-    spec = AnsatzSpec("psi_sub", {**consts, "epsilon": eps})
-    if t_range is None:
-        t_range = (t0, DEFAULT_T_MAX)
-    if t_range[0] < t0 - 1e-9:
-        raise DomainError(f"t range must start at or after t0 = {t0:g}")
-    ts = _t_grid(t_range[0], t_range[1], n_t)
-    ys = np.linspace(0.0, y_max, n_y)
+    ys = np.linspace(0.0, Y_MAX, n_y)
     w_arr = np.array([w_eval(r, y) for y in ys])
     wp_arr = np.array([w_prime_eval(r, y) for y in ys])
-    worst = -math.inf
-    worst_at = None
-    for t in ts:
+
+    def signed_at(t):
         damp = 1.0 + M / math.sqrt(t)
         with np.errstate(under="ignore"):
             quad_term = damp * eps * np.exp(-ys * math.sqrt(t)) * w_arr**2
@@ -276,72 +244,53 @@ def check_subsolution(
             0.5 * M * w_arr + damp * (abs(r_prime) * np.abs(wp_arr) + quad_term),
             1e-300,
         )
-        signed = braced / scale
-        i = int(np.argmax(signed))
-        if signed[i] > worst:
-            worst = float(signed[i])
-            worst_at = (float(t), float(ys[i]))
-    verdict = "pass" if worst <= SIGN_TOL else "fail"
+        return braced / scale, ys
+
+    worst, worst_at, verdict = _sign_scan(_t_grid(t0, T_MAX, n_t), signed_at, "sub")
     return VerificationReport(
         name=f"psi_sub_r{r:g}",
-        domain={"t": f"[{t_range[0]:g}, {t_range[1]:g}]", "y": f"[0, {y_max:g}]",
-                "grid": f"{n_t}x{n_y}"},
+        domain=_psi_domain(t0, n_t, n_y),
         worst_signed_residual=worst,
         verdict=verdict,
-        details={**spec.parameters, "worst_at": worst_at},
+        details={**consts, "epsilon": eps, "worst_at": worst_at},
     )
 
 
-def check_tw_shift(
-    k: float,
-    t0: float = 1.0,
-    t_range: tuple[float, float] = (1.0, DEFAULT_T_MAX),
-    z_range: tuple[float, float] = (-20.0, 40.0),
-    n_t: int = 24,
-    n_z: int = 160,
-) -> VerificationReport:
+def check_tw_shift(k: float) -> VerificationReport:
     """Residual of the log-shifted wave U(x - 2t + r ln(t + t0)):
         L v = (r / (t + t0)) U'(z).
-    Super-solution for k >= 1 (r <= 0), sub-solution for k <= 1 (r >= 0)."""
+    Super-solution for k >= 1 (r <= 0), sub-solution for k <= 1 (r >= 0).
+
+    The residual is normalized by its own magnitude, so each sample reads
+    -1, 0 or +1 and the worst signed residual is one of these by
+    construction: the verdict is the sign of r U'(z) on the grid, and the
+    report shows no margin."""
     r = 0.5 * (1.0 - k)
     wave = minimal_wave()
-    ts = _t_grid(t_range[0], t_range[1], n_t)
-    zs = np.linspace(max(z_range[0], wave.z0), min(z_range[1], wave.z_max), n_z)
+    n_t, n_z = TW_GRID
+    zs = np.linspace(max(TW_Z_RANGE[0], wave.z0), min(TW_Z_RANGE[1], wave.z_max), n_z)
     du = wave.derivative(zs)
-    worst_super = math.inf  # min residual (want >= 0 for super)
-    worst_sub = -math.inf   # max residual (want <= 0 for sub)
-    for t in ts:
-        res = (r / (t + t0)) * du
-        scale = np.maximum(np.abs(r / (t + t0)) * np.abs(du), 1e-300)
-        signed = res / scale if r != 0.0 else np.zeros_like(res)
-        worst_super = min(worst_super, float(signed.min()))
-        worst_sub = max(worst_sub, float(signed.max()))
-    if k > 1.0:
-        kind, worst = "super", worst_super
-        ok = worst >= -SIGN_TOL
-    elif k < 1.0:
-        kind, worst = "sub", worst_sub
-        ok = worst <= SIGN_TOL
-    else:
-        kind = "both"
-        worst = max(abs(worst_super), abs(worst_sub)) if math.isfinite(worst_super) else 0.0
-        ok = worst <= SIGN_TOL
+
+    def signed_at(t):
+        res = (r / (t + TW_T0)) * du
+        scale = np.maximum(np.abs(r / (t + TW_T0)) * np.abs(du), 1e-300)
+        return (res / scale if r != 0.0 else np.zeros_like(res)), zs
+
+    kind = "super" if k > 1.0 else "sub" if k < 1.0 else "both"
+    # at k = 1 (r = 0) the residual is identically zero and either sense reads 0
+    worst, _, verdict = _sign_scan(_t_grid(1.0, T_MAX, n_t), signed_at,
+                                   "super" if k > 1.0 else "sub")
     return VerificationReport(
         name=f"tw_shift_k{k:g}",
-        domain={"t": f"[{t_range[0]:g}, {t_range[1]:g}]", "z": f"[{zs[0]:g}, {zs[-1]:g}]",
+        domain={"t": f"[1, {T_MAX:g}]", "z": f"[{zs[0]:g}, {zs[-1]:g}]",
                 "grid": f"{n_t}x{n_z}"},
         worst_signed_residual=worst,
-        verdict="pass" if ok else "fail",
-        details={"k": k, "r": r, "t0": t0, "acts_as": kind},
+        verdict=verdict,
+        details={"k": k, "r": r, "t0": TW_T0, "acts_as": kind},
     )
 
 
-def check_phi_eta_sub(
-    r: float,
-    t_range: tuple[float, float] = (10.0, DEFAULT_T_MAX),
-    n_t: int = 24,
-    n_y: int = 120,
-) -> VerificationReport:
+def check_phi_eta_sub(r: float) -> VerificationReport:
     """Sign certificate for the boosted profile e^{eta z / sqrt t} phi(z) on
     z in (0, 2 sqrt t]:
         (-eta^2 - r)/t + (e^{eta z / sqrt t} - gamma) phi(z) <= 0
@@ -353,148 +302,107 @@ def check_phi_eta_sub(
     # computed through the same exp as the grid factor so the z = 2 sqrt t
     # saturation point evaluates to an exact zero
     gamma = float(np.exp(2.0 * eta))
-    spec = AnsatzSpec("phi_eta_sub", {"r": r, "eta": eta, "gamma": gamma})
     phi = phi_gamma(gamma)
-    ts = _t_grid(t_range[0], t_range[1], n_t)
+    n_t, n_y = PHI_GRID
+    ts = _t_grid(PHI_T_MIN, T_MAX, n_t)
     ys = np.linspace(1e-3, 2.0, n_y)  # y = z / sqrt t, domain cap z <= 2 sqrt t
-    worst = -math.inf
-    worst_at = None
-    min_glue = math.inf
-    for t in ts:
+    boost = np.exp(eta * ys)
+
+    def signed_at(t):
         zs = ys * math.sqrt(t)
-        if np.any(zs > 2.0 * math.sqrt(t) + 1e-9):
-            raise DomainError("samples beyond z = 2 sqrt t are outside the construction")
         phis = phi(zs)
         # the 1/t drift term is (-eta^2 - r)/t = 0 by the construction eta = sqrt(-r)
-        expr = (np.exp(eta * ys) - gamma) * phis
-        scale = np.maximum((gamma - np.exp(eta * ys)) * phis, 1e-300)
-        signed = expr / scale
-        i = int(np.argmax(signed))
-        if signed[i] > worst:
-            worst = float(signed[i])
-            worst_at = (float(t), float(zs[i]))
-        glue = (eta / math.sqrt(t)) * phi(0.0) + phi.derivative(0.0)
-        min_glue = min(min_glue, glue)
-    ok = worst <= SIGN_TOL and min_glue > 0.0
+        expr = (boost - gamma) * phis
+        scale = np.maximum((gamma - boost) * phis, 1e-300)
+        return expr / scale, zs
+
+    worst, worst_at, verdict = _sign_scan(ts, signed_at, "sub")
+    min_glue = min((eta / math.sqrt(t)) * phi(0.0) + phi.derivative(0.0) for t in ts)
     return VerificationReport(
         name=f"phi_eta_sub_r{r:g}",
-        domain={"t": f"[{t_range[0]:g}, {t_range[1]:g}]", "z": "(0, 2 sqrt t]",
+        domain={"t": f"[{PHI_T_MIN:g}, {T_MAX:g}]", "z": "(0, 2 sqrt t]",
                 "grid": f"{n_t}x{n_y}"},
         worst_signed_residual=worst,
-        verdict="pass" if ok else "fail",
-        details={**spec.parameters, "worst_at": worst_at, "min_gluing_slope": min_glue},
+        verdict=verdict if min_glue > 0.0 else "fail",
+        details={"r": r, "eta": eta, "gamma": gamma, "worst_at": worst_at,
+                 "min_gluing_slope": min_glue},
     )
 
 
-@lru_cache(maxsize=1)
-def _gradient_bound_cached() -> float:
-    c_hat, _ = heatkernel.gradient_bound_constant()
-    return c_hat
-
-
-def critical_sub_constants(
-    t_sizing=None, z_sizing=None, tol: float = 1e-13
-) -> dict:
+def critical_sub_constants() -> dict:
     """Auto-size M = 8 sup e^{-z} v (t+1)^{5/4} and pick delta with
     delta (1+M)^2 < 1."""
-    if t_sizing is None:
-        t_sizing = np.geomspace(1.0, 1e8, 9)
-    if z_sizing is None:
-        z_sizing = (0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
     sup = 0.0
-    for t in t_sizing:
-        for z in z_sizing:
-            v = heatkernel.v_dirichlet(float(t), float(z), tol).value
+    for t in np.geomspace(1.0, 1e8, 9):
+        for z in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
+            v = heatkernel.v_dirichlet(float(t), float(z), CRITICAL_TOL).value
             sup = max(sup, math.exp(-z) * v * (t + 1.0) ** 1.25)
     M = 8.0 * sup
     delta = 0.5 / (1.0 + M) ** 2
     return {"M": M, "delta": delta, "sup_weighted_v": sup}
 
 
-def check_critical_sub(
-    M: float | None = None,
-    delta: float | None = None,
-    t_range: tuple[float, float] = (1.0, 1e8),
-    n_t: int = 10,
-    n_z: int = 8,
-    tol: float = 1e-13,
-) -> VerificationReport:
+def check_critical_sub(M: float | None = None, delta: float | None = None) -> VerificationReport:
     """Critical-case sub-solution bracket
         e^{-z} v(t, z) - M / (4 (t+1)^{5/4}) <= 0,
     with the side condition delta (1 + M)^2 < 1."""
-    consts = critical_sub_constants(tol=tol)
-    if M is None:
-        M = consts["M"]
-    if delta is None:
-        delta = consts["delta"]
+    consts = critical_sub_constants()
+    M = consts["M"] if M is None else M
+    delta = consts["delta"] if delta is None else delta
     if not delta * (1.0 + M) ** 2 < 1.0:
         raise DomainError(f"delta (1+M)^2 = {delta * (1 + M) ** 2:.3f} must be < 1")
-    spec = AnsatzSpec("dirichlet_sub", {"M": M, "delta": delta})
-    ts = _t_grid(t_range[0], t_range[1], n_t)
-    worst = -math.inf
-    worst_at = None
-    for t in ts:
-        z_hi = max(3.0 * math.log(t + 3.0), 8.0)
-        for z in np.geomspace(0.05, z_hi, n_z):
-            v = heatkernel.v_dirichlet(float(t), float(z), tol).value
-            lead = math.exp(-z) * v
-            damp = M / (4.0 * (t + 1.0) ** 1.25)
-            bracket = lead - damp
-            signed = bracket / max(lead + damp, 1e-300)
-            if signed > worst:
-                worst = signed
-                worst_at = (float(t), float(z))
-    verdict = "pass" if worst <= SIGN_TOL else "fail"
+    n_t, n_z = CRITICAL_SUB_GRID
+
+    def signed_at(t):
+        zs = np.geomspace(0.05, max(3.0 * math.log(t + 3.0), 8.0), n_z)
+        damp = M / (4.0 * (t + 1.0) ** 1.25)
+        signed = []
+        for z in zs:
+            lead = math.exp(-z) * heatkernel.v_dirichlet(float(t), float(z), CRITICAL_TOL).value
+            signed.append((lead - damp) / max(lead + damp, 1e-300))
+        return signed, zs
+
+    worst, worst_at, verdict = _sign_scan(_t_grid(1.0, CRITICAL_T_MAX, n_t), signed_at, "sub")
     return VerificationReport(
         name="dirichlet_sub_critical",
-        domain={"t": f"[{t_range[0]:g}, {t_range[1]:g}]", "z": "(0, 3 ln t]",
-                "grid": f"{n_t}x{n_z}"},
+        domain={"t": f"[1, {CRITICAL_T_MAX:g}]", "z": "(0, 3 ln t]", "grid": f"{n_t}x{n_z}"},
         worst_signed_residual=worst,
         verdict=verdict,
-        details={**spec.parameters, "worst_at": worst_at},
+        details={"M": M, "delta": delta, "worst_at": worst_at},
     )
 
 
-def check_critical_super(
-    M: float | None = None,
-    t_range: tuple[float, float] | None = None,
-    n_t: int = 8,
-    n_y: int = 8,
-    tol: float = 1e-13,
-) -> VerificationReport:
+def check_critical_super(M: float | None = None, t_range: tuple[float, float] | None = None,
+                         n_t: int = 8, n_y: int = 8) -> VerificationReport:
     """Critical-case super-solution residual
         (3/(2t) - 1/(t ln t)) dx v + (M / (4 t^{5/4})) (1 - M/t^{1/4})^{-1} v >= 0
     with M sized from the empirical gradient-bound constant."""
     if M is None:
-        M = 8.0 * _gradient_bound_cached()
+        M = 8.0 * heatkernel.gradient_bound_constant()[0]
     t0 = max((2.0 * M) ** 4, 1e3)
     if t_range is None:
-        t_range = (t0, 1e8)
+        t_range = (t0, CRITICAL_T_MAX)
     if t_range[0] < t0 - 1e-9:
         raise DomainError(f"t range must start at or after t0 = {t0:g}")
-    spec = AnsatzSpec("dirichlet_super", {"M": M, "t0": t0})
-    ts = _t_grid(t_range[0], t_range[1], n_t)
     ys = np.linspace(0.1, 2.0, n_y)
-    worst = math.inf
-    worst_at = None
-    for t in ts:
-        for y in ys:
-            z = float(y * math.sqrt(t))
-            v = heatkernel.v_dirichlet(float(t), z, tol).value
-            dv = heatkernel.v_dirichlet_dx(float(t), z, max(tol, abs(v) * 1e-7)).value
+
+    def signed_at(t):
+        zs = [float(y * math.sqrt(t)) for y in ys]
+        signed = []
+        for z in zs:
+            v = heatkernel.v_dirichlet(float(t), z, CRITICAL_TOL).value
+            dv = heatkernel.v_dirichlet_dx(float(t), z, max(CRITICAL_TOL, abs(v) * 1e-7)).value
             a = (1.5 / t - 1.0 / (t * math.log(t))) * dv
             b = (M / (4.0 * t**1.25)) / (1.0 - M / t**0.25) * v
-            res = a + b
-            signed = res / max(abs(a) + abs(b), 1e-300)
-            if signed < worst:
-                worst = signed
-                worst_at = (float(t), z)
-    verdict = "pass" if worst >= -SIGN_TOL else "fail"
+            signed.append((a + b) / max(abs(a) + abs(b), 1e-300))
+        return signed, zs
+
+    worst, worst_at, verdict = _sign_scan(_t_grid(t_range[0], t_range[1], n_t), signed_at, "super")
     return VerificationReport(
         name="dirichlet_super_critical",
         domain={"t": f"[{t_range[0]:g}, {t_range[1]:g}]", "z": "y sqrt(t), y in [0.1, 2]",
                 "grid": f"{n_t}x{n_y}"},
         worst_signed_residual=worst,
         verdict=verdict,
-        details={**spec.parameters, "worst_at": worst_at},
+        details={"M": M, "t0": t0, "worst_at": worst_at},
     )

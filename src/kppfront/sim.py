@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -103,6 +103,11 @@ class SimConfig:
             object.__setattr__(
                 self, "xi_max", FAR_ZONE_COEFF * math.sqrt(self.t_end) + 60.0
             )
+        # NaN and inf would slip through the range tests below
+        bad = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)
+               if not np.all(np.isfinite(getattr(self, f.name)))]
+        if bad:
+            raise DomainError(f"config values must be finite: {', '.join(bad)}")
         if self.xi_max < FAR_ZONE_COEFF * math.sqrt(self.t_end) + 20.0:
             raise DomainError(
                 "xi_max too small: need the O(sqrt(t)) far-away zone, "

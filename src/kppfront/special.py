@@ -1,9 +1,11 @@
-"""Gamma, Kummer's function and the self-similar tail profile w(y; r).
+"""Kummer's series and the self-similar tail profile w(y; r).
 
 w solves  w'' + (y/2) w' + (r - 1/2) w = 0,  w(0) = 0, w'(0) = 1,  and is
 evaluated through the product form  w(y) = y exp(-y^2/4) psi(y^2/4)  with
-psi(z) = 1F1((3-2r)/2, 3/2, z).  An explicit fixed-step 4th-order integrator
-of the same Cauchy problem serves as the independent oracle.
+psi(z) = 1F1((3-2r)/2, 3/2, z): the power series of 1F1 below CROSSOVER_Z,
+above it the large-z expansion with e^{-z} 1F1 combined analytically into
+w_asymptotic_constant y^(1-2r) S(z).  An explicit fixed-step 4th-order
+integrator of the same Cauchy problem serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -15,25 +17,11 @@ import numpy as np
 from .errors import DomainError
 from .grid import GridFunction
 
-# Series below, asymptotic expansion above; the two regimes are compared on
-# [CROSSOVER_Z, CROSSOVER_Z + OVERLAP_WIDTH] by the test suite.
+# w_eval and w_prime_eval: series below, asymptotic expansion above; the test
+# suite compares the two branches on [CROSSOVER_Z, CROSSOVER_Z + 10].
 CROSSOVER_Z = 30.0
-OVERLAP_WIDTH = 10.0
-# exp(z) overflows doubles slightly above 709.
-OVERFLOW_Z = 700.0
 
 _EPS = 1e-17
-
-
-def gamma(x: float) -> float:
-    """Gamma function for positive real arguments."""
-    if not x > 0.0:
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
-
-
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
 
 
 def kummer_1f1_series(a: float, b: float, z: float, max_terms: int = 500) -> float:
@@ -67,36 +55,6 @@ def _asymptotic_tail(a: float, b: float, z: float) -> float:
         if abs(term) <= _EPS * abs(total):
             break
     return total
-
-
-def kummer_1f1_asymptotic(a: float, b: float, z: float) -> float:
-    """Large-z evaluation of 1F1; valid for a > 0 and z large enough to overwhelm
-    the exponentially small second Kummer solution."""
-    if not a > 0.0:
-        raise DomainError("asymptotic 1F1 regime implemented for a > 0 only")
-    return gamma(b) / gamma(a) * math.exp(z) * z ** (a - b) * _asymptotic_tail(a, b, z)
-
-
-def kummer_1f1(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric function 1F1(a, b, z) for z >= 0."""
-    if _is_nonpositive_integer(b):
-        raise DomainError(f"1F1 undefined for nonpositive integer b = {b}")
-    if z < 0.0:
-        raise DomainError("negative z is outside the supported family")
-    if z > OVERFLOW_Z:
-        raise OverflowError(f"exp({z}) exceeds double range; use the scaled profile evaluators")
-    if _is_nonpositive_integer(a):
-        return kummer_1f1_series(a, b, z)  # terminating polynomial
-    if z < CROSSOVER_Z:
-        return kummer_1f1_series(a, b, z)
-    return kummer_1f1_asymptotic(a, b, z)
-
-
-def kummer_1f1_prime(a: float, b: float, z: float) -> float:
-    """d/dz 1F1(a, b, z) through the contiguous relation (a/b) 1F1(a+1, b+1, z)."""
-    if a == 0.0:
-        return 0.0
-    return (a / b) * kummer_1f1(a + 1.0, b + 1.0, z)
 
 
 def _check_r(r: float) -> None:

@@ -8,7 +8,6 @@ import pytest
 
 from kppfront import DomainError, minimal_wave
 from kppfront.ansatz import (
-    AnsatzSpec,
     check_critical_sub,
     check_critical_super,
     check_linear_residual_identity,
@@ -47,21 +46,6 @@ class TestPsiEval:
             psi_eval(0.5, 0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
             psi_eval(0.5, 0.5, 1.0, -0.5)
-
-
-class TestAnsatzSpec:
-    def test_relation_enforcement(self):
-        AnsatzSpec("psi_super", {"r": 0.5, "r_prime": 0.5})
-        AnsatzSpec("psi_super", {"r": -1.0, "r_prime": 0.0})
-        with pytest.raises(DomainError):
-            AnsatzSpec("psi_super", {"r": -1.0, "r_prime": -1.0})
-        AnsatzSpec("psi_sub", {"r": 0.5, "r_prime": -1.5})
-        with pytest.raises(DomainError):
-            AnsatzSpec("psi_sub", {"r": 0.5, "r_prime": 0.5})
-        eta = math.sqrt(1.0)
-        AnsatzSpec("phi_eta_sub", {"r": -1.0, "eta": eta, "gamma": math.exp(2.0 * eta)})
-        with pytest.raises(DomainError):
-            AnsatzSpec("phi_eta_sub", {"r": -1.0, "eta": 0.5, "gamma": math.e})
 
 
 class TestResidualIdentity:

@@ -52,6 +52,19 @@ class TestSimulateCommand:
         assert rc == 1
         assert "k must be >= -2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "xi_min = nan", "xi_max = nan", "snapshot_times = nan",
+        "t_end = inf", "k = nan", "amplitude = inf",
+    ])
+    def test_non_finite_value_rejected(self, line, tmp_path, capsys):
+        # NaN and inf pass every range test; without their own check they
+        # crash the run or end it as a numerical failure (exit 2)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"k = 1\nt_end = 2\n{line}\n", encoding="utf-8")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "bad config" in capsys.readouterr().err
+
     def test_missing_config(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 1
@@ -125,12 +138,61 @@ class TestFitCommand:
         assert "malformed" in capsys.readouterr().err
 
 
+# (check, domain) of every row each suite writes, in order: a dropped check or
+# a shrunk grid changes this table
+SUITE_CHECKS = {
+    "supersolutions": [
+        ("psi_super_r-1", "t=[4  1e+06];y=[0  50];grid=60x200"),
+        ("psi_super_r0", "t=[4  1e+06];y=[0  50];grid=60x200"),
+        ("psi_super_r0.5", "t=[11.402  1e+06];y=[0  50];grid=60x200"),
+        ("psi_super_r1", "t=[29.4226  1e+06];y=[0  50];grid=60x200"),
+        ("psi_super_r1.25", "t=[48.4737  1e+06];y=[0  50];grid=60x200"),
+        ("linear_residual_identity_r0_rp0", "samples=15"),
+        ("linear_residual_identity_r0.5_rp0.5", "samples=15"),
+        ("linear_residual_identity_r1_rp1", "samples=15"),
+        ("tw_shift_k1", "t=[1  1e+06];z=[-20  40];grid=24x160"),
+        ("tw_shift_k3", "t=[1  1e+06];z=[-20  40];grid=24x160"),
+    ],
+    "subsolutions": [
+        ("psi_sub_r-1", "t=[3808.65  1e+06];y=[0  50];grid=60x200"),
+        ("psi_sub_r0", "t=[1024  1e+06];y=[0  50];grid=60x200"),
+        ("psi_sub_r0.5", "t=[410.473  1e+06];y=[0  50];grid=60x200"),
+        ("psi_sub_r1", "t=[117.691  1e+06];y=[0  50];grid=60x200"),
+        ("psi_sub_r1.25", "t=[69.8024  1e+06];y=[0  50];grid=60x200"),
+        ("linear_residual_identity_r0.5_rp-1.5", "samples=15"),
+        ("linear_residual_identity_r1_rp-1", "samples=15"),
+        ("phi_eta_sub_r-1", "t=[10  1e+06];z=(0  2 sqrt t];grid=24x120"),
+        ("phi_eta_sub_r-0.25", "t=[10  1e+06];z=(0  2 sqrt t];grid=24x120"),
+        ("tw_shift_k0", "t=[1  1e+06];z=[-20  40];grid=24x160"),
+    ],
+    "critical": [
+        ("dirichlet_sub_critical", "t=[1  1e+08];z=(0  3 ln t];grid=10x8"),
+        ("dirichlet_super_critical", "t=[1000  1e+08];z=y sqrt(t)  y in [0.1  2];grid=8x8"),
+    ],
+    "heat": [
+        ("dirichlet_band_t1000", "t=1000.0;x=(1  6.91);samples=9"),
+        ("dirichlet_band_t100000", "t=100000.0;x=(1  11.5);samples=9"),
+        ("dirichlet_band_t1e+07", "t=10000000.0;x=(1  16.1);samples=9"),
+        ("weighted_sup_eps0.1", "t=[1  1e+08];x_per_t=12"),
+        ("dirichlet_gradient_bound", "t=[100  1e+08];x=(0  min(4 t^3/4  26 sqrt t)]"),
+    ],
+}
+
+
+def run_suite(suite, out):
+    """Run one verify suite; every check must pass, on its pinned domain."""
+    assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
+    cols = read_csv_columns(out / f"verify_{suite}.csv")
+    assert all(v == "pass" for v in cols["verdict"])
+    assert list(zip(cols["check"], cols["domain"])) == SUITE_CHECKS[suite]
+
+
 class TestVerifyCommand:
     def test_supersolutions_suite_passes(self, tmp_path, capsys):
-        rc = main(["verify", "--suite", "supersolutions", "--out", str(tmp_path)])
-        assert rc == 0
-        cols = read_csv_columns(tmp_path / "verify_supersolutions.csv")
-        assert all(v == "pass" for v in cols["verdict"])
+        run_suite("supersolutions", tmp_path)
+
+    def test_subsolutions_suite_passes(self, tmp_path, capsys):
+        run_suite("subsolutions", tmp_path)
 
     def test_unknown_suite_usage_error(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "bogus", "--out", str(tmp_path)])
@@ -138,17 +200,13 @@ class TestVerifyCommand:
         assert "unknown suite" in capsys.readouterr().err
 
     def test_heat_suite_emits_sample_sweep(self, tmp_path):
-        rc = main(["verify", "--suite", "heat", "--out", str(tmp_path)])
-        assert rc == 0
+        run_suite("heat", tmp_path)
         cols = read_csv_columns(tmp_path / "heat_sweep_2sqrt_t.csv")
         assert list(cols) == ["t", "x", "value", "error_estimate"]
         assert all(x == 2.0 * math.sqrt(t) for t, x in zip(cols["t"], cols["x"]))
 
     def test_critical_suite_passes(self, tmp_path):
-        rc = main(["verify", "--suite", "critical", "--out", str(tmp_path)])
-        assert rc == 0
-        cols = read_csv_columns(tmp_path / "verify_critical.csv")
-        assert set(cols["check"]) == {"dirichlet_sub_critical", "dirichlet_super_critical"}
+        run_suite("critical", tmp_path)
 
 
 class TestReportCommand:

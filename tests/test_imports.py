@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+no module keeps a cache other than the two wave-profile builds.
 
 The package's __init__ imports names only to re-export them, so it is
 exempt.  Uses are found with the stdlib ast module: a bound name counts as
@@ -6,9 +7,13 @@ used when it appears as a Name anywhere in the module, annotations included.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import kppfront
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kppfront"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -36,3 +41,13 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_only_the_wave_profiles_are_cached():
+    # a module-level cache is state shared by every caller in the process;
+    # only the two wave-profile builds keep one
+    modules = [importlib.import_module(f"kppfront.{m.name}")
+               for m in pkgutil.iter_modules(kppfront.__path__)]
+    cached = {f"{obj.__module__}.{obj.__qualname__}" for mod in modules
+              for obj in vars(mod).values() if hasattr(obj, "cache_clear")}
+    assert cached == {"kppfront.waves.minimal_wave", "kppfront.waves.phi_gamma"}

@@ -1,5 +1,5 @@
-"""Special-function layer: gamma, Kummer 1F1 and the self-similar profile w,
-certified against the fixed-step ODE oracle and closed forms."""
+"""Special-function layer: Kummer's 1F1 series and the self-similar profile
+w, certified against the fixed-step ODE oracle and closed forms."""
 
 import math
 from fractions import Fraction
@@ -9,15 +9,12 @@ import pytest
 
 from kppfront import (
     DomainError,
-    gamma,
-    kummer_1f1,
-    kummer_1f1_prime,
     w_asymptotic_constant,
     w_eval,
     w_ode_oracle,
     w_prime_eval,
 )
-from kppfront.special import CROSSOVER_Z, OVERLAP_WIDTH, kummer_1f1_asymptotic, kummer_1f1_series
+from kppfront.special import CROSSOVER_Z, kummer_1f1_series
 
 R_FAMILY = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.25)
 
@@ -33,30 +30,13 @@ def oracle_1f1_exact_rational(a: Fraction, b: Fraction, z: Fraction, terms: int 
     return float(total)
 
 
-class TestGamma:
-    def test_half_integer_values(self):
-        np.testing.assert_allclose(gamma(0.5), math.sqrt(math.pi), rtol=1e-14)
-        np.testing.assert_allclose(gamma(1.0), 1.0, rtol=0)
-        np.testing.assert_allclose(gamma(1.5), math.sqrt(math.pi) / 2, rtol=1e-14)
-
-    def test_reflection_against_factorials(self):
-        for n in range(2, 12):
-            np.testing.assert_allclose(gamma(float(n)), math.factorial(n - 1), rtol=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma(0.0)
-        with pytest.raises(DomainError):
-            gamma(-1.3)
-
-
 class TestKummer:
     def test_series_constant_term(self):
         for a, b in [(0.3, 1.5), (2.0, 0.7), (-1.2, 3.0)]:
-            assert kummer_1f1(a, b, 0.0) == 1.0
+            assert kummer_1f1_series(a, b, 0.0) == 1.0
 
     def test_exponential_reduction(self):
-        np.testing.assert_allclose(kummer_1f1(1.5, 1.5, 2.0), math.exp(2.0), rtol=1e-14)
+        np.testing.assert_allclose(kummer_1f1_series(1.5, 1.5, 2.0), math.exp(2.0), rtol=1e-14)
 
     def test_frozen_exact_rational_oracle(self):
         # frozen from oracle_1f1_exact_rational(1/2, 3/2, 5); the erfi identity
@@ -64,62 +44,51 @@ class TestKummer:
         frozen = 17.17215777384149
         live = oracle_1f1_exact_rational(Fraction(1, 2), Fraction(3, 2), Fraction(5))
         np.testing.assert_allclose(live, frozen, rtol=1e-15)
-        np.testing.assert_allclose(kummer_1f1(0.5, 1.5, 5.0), frozen, rtol=1e-13)
-
-    def test_nonpositive_integer_b_rejected(self):
-        for b in (0.0, -1.0, -4.0):
-            with pytest.raises(DomainError):
-                kummer_1f1(0.5, b, 1.0)
-
-    def test_negative_z_rejected(self):
-        with pytest.raises(DomainError):
-            kummer_1f1(0.5, 1.5, -1.0)
-
-    def test_overflow_signaled(self):
-        with pytest.raises(OverflowError):
-            kummer_1f1(0.5, 1.5, 800.0)
+        np.testing.assert_allclose(kummer_1f1_series(0.5, 1.5, 5.0), frozen, rtol=1e-13)
 
     def test_terminating_polynomial(self):
         # a = -2: 1F1(-2, b, z) = 1 - 2z/b + z^2/(b(b+1))
         b, z = 1.5, 7.0
         expected = 1.0 - 2.0 * z / b + z * z / (b * (b + 1.0))
-        np.testing.assert_allclose(kummer_1f1(-2.0, b, z), expected, rtol=1e-13)
+        np.testing.assert_allclose(kummer_1f1_series(-2.0, b, z), expected, rtol=1e-13)
 
     @pytest.mark.parametrize("r", R_FAMILY)
     def test_series_asymptotic_crossover_agreement(self, r):
-        a = 0.5 * (3.0 - 2.0 * r)
-        for z in np.linspace(CROSSOVER_Z, CROSSOVER_Z + OVERLAP_WIDTH, 9):
-            s = kummer_1f1_series(a, 1.5, float(z))
-            asym = kummer_1f1_asymptotic(a, 1.5, float(z))
-            np.testing.assert_allclose(asym, s, rtol=1e-8)
+        # w_eval takes the asymptotic branch from CROSSOVER_Z on; its series
+        # branch y e^{-z} 1F1(a, 3/2, z) must agree with it past the switch
+        a = 1.5 - r
+        for z in np.linspace(CROSSOVER_Z, CROSSOVER_Z + 10.0, 9):
+            y = 2.0 * math.sqrt(z)
+            zy = 0.25 * y * y
+            series = y * math.exp(-zy) * kummer_1f1_series(a, 1.5, zy)
+            np.testing.assert_allclose(w_eval(r, y), series, rtol=1e-8)
 
     @pytest.mark.parametrize("z", [50.0, 120.0, 300.0])
     def test_leading_asymptotic_form_within_1pct(self, z):
-        a, b = 0.75, 1.5
-        lead = gamma(b) / gamma(a) * math.exp(z) * z ** (a - b)
-        np.testing.assert_allclose(kummer_1f1(a, b, z), lead, rtol=1e-2)
+        # 1F1(a, b, z) ~ Gamma(b)/Gamma(a) e^z z^(a-b) is w(y) ~ C y^(1-2r)
+        r, y = 0.75, 2.0 * math.sqrt(z)
+        lead = w_asymptotic_constant(r) * y ** (1.0 - 2.0 * r)
+        np.testing.assert_allclose(w_eval(r, y), lead, rtol=1e-2)
 
 
 class TestKummerPrime:
-    def test_at_zero(self):
-        np.testing.assert_allclose(kummer_1f1_prime(1.5, 1.5, 0.0), 1.0, rtol=0)
-        np.testing.assert_allclose(kummer_1f1_prime(0.5, 1.5, 0.0), 1.0 / 3.0, rtol=1e-15)
+    """d/dz 1F1(a, b, z) = (a/b) 1F1(a+1, b+1, z), the series form of which
+    w_prime_eval uses below CROSSOVER_Z."""
 
-    def test_contiguous_recurrence_exact(self):
-        for a, b, z in [(0.5, 1.5, 3.0), (1.25, 1.5, 12.0), (0.25, 1.5, 40.0)]:
-            lhs = kummer_1f1_prime(a, b, z)
-            rhs = (a / b) * kummer_1f1(a + 1.0, b + 1.0, z)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+    def test_at_zero(self):
+        assert (1.5 / 1.5) * kummer_1f1_series(2.5, 2.5, 0.0) == 1.0
+        np.testing.assert_allclose((0.5 / 1.5) * kummer_1f1_series(1.5, 2.5, 0.0), 1.0 / 3.0, rtol=1e-15)
 
     def test_matches_finite_difference(self):
         a, b, z = 0.5, 1.5, 4.0
+        exact = (a / b) * kummer_1f1_series(a + 1.0, b + 1.0, z)
         prev = None
         for h in (1e-3, 5e-4, 2.5e-4):
-            fd = (kummer_1f1(a, b, z + h) - kummer_1f1(a, b, z - h)) / (2 * h)
+            fd = (kummer_1f1_series(a, b, z + h) - kummer_1f1_series(a, b, z - h)) / (2 * h)
             if prev is not None:
-                assert abs(fd - kummer_1f1_prime(a, b, z)) <= abs(prev - kummer_1f1_prime(a, b, z)) + 1e-12
+                assert abs(fd - exact) <= abs(prev - exact) + 1e-12
             prev = fd
-        np.testing.assert_allclose(kummer_1f1_prime(a, b, z), prev, rtol=1e-6)
+        np.testing.assert_allclose(exact, prev, rtol=1e-6)
 
 
 class TestProfileW:
