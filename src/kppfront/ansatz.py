@@ -16,6 +16,8 @@ import numpy as np
 
 from . import heatkernel
 from .errors import DomainError
+from .frontfit import drift_target
+from .heatkernel import VERIFY_TOL
 from .report import VerificationReport
 from .special import w_eval, w_prime_eval
 from .waves import minimal_wave, phi_gamma
@@ -36,10 +38,9 @@ TW_GRID = (24, 160)
 # boosted damped profile: t in [PHI_T_MIN, T_MAX], y = z / sqrt t in [1e-3, 2]
 PHI_T_MIN = 10.0
 PHI_GRID = (24, 120)
-# critical checks: t up to CRITICAL_T_MAX, heat quadrature to CRITICAL_TOL
+# critical checks: t up to CRITICAL_T_MAX, heat quadrature to heatkernel's VERIFY_TOL
 CRITICAL_T_MAX = 1e8
 CRITICAL_SUB_GRID = (10, 8)
-CRITICAL_TOL = 1e-13
 
 
 def psi_eval(r: float, r_prime: float, t: float, z: float) -> float:
@@ -265,7 +266,7 @@ def check_tw_shift(k: float) -> VerificationReport:
     -1, 0 or +1 and the worst signed residual is one of these by
     construction: the verdict is the sign of r U'(z) on the grid, and the
     report shows no margin."""
-    r = 0.5 * (1.0 - k)
+    r = drift_target(k)
     wave = minimal_wave()
     n_t, n_z = TW_GRID
     zs = np.linspace(max(TW_Z_RANGE[0], wave.z0), min(TW_Z_RANGE[1], wave.z_max), n_z)
@@ -335,7 +336,7 @@ def critical_sub_constants() -> dict:
     sup = 0.0
     for t in np.geomspace(1.0, 1e8, 9):
         for z in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-            v = heatkernel.v_dirichlet(float(t), float(z), CRITICAL_TOL).value
+            v = heatkernel.v_dirichlet(float(t), float(z), VERIFY_TOL).value
             sup = max(sup, math.exp(-z) * v * (t + 1.0) ** 1.25)
     M = 8.0 * sup
     delta = 0.5 / (1.0 + M) ** 2
@@ -358,7 +359,7 @@ def check_critical_sub(M: float | None = None, delta: float | None = None) -> Ve
         damp = M / (4.0 * (t + 1.0) ** 1.25)
         signed = []
         for z in zs:
-            lead = math.exp(-z) * heatkernel.v_dirichlet(float(t), float(z), CRITICAL_TOL).value
+            lead = math.exp(-z) * heatkernel.v_dirichlet(float(t), float(z), VERIFY_TOL).value
             signed.append((lead - damp) / max(lead + damp, 1e-300))
         return signed, zs
 
@@ -390,8 +391,8 @@ def check_critical_super(M: float | None = None, t_range: tuple[float, float] | 
         zs = [float(y * math.sqrt(t)) for y in ys]
         signed = []
         for z in zs:
-            v = heatkernel.v_dirichlet(float(t), z, CRITICAL_TOL).value
-            dv = heatkernel.v_dirichlet_dx(float(t), z, max(CRITICAL_TOL, abs(v) * 1e-7)).value
+            v = heatkernel.v_dirichlet(float(t), z, VERIFY_TOL).value
+            dv = heatkernel.v_dirichlet_dx(float(t), z, max(VERIFY_TOL, abs(v) * 1e-7)).value
             a = (1.5 / t - 1.0 / (t * math.log(t))) * dv
             b = (M / (4.0 * t**1.25)) / (1.0 - M / t**0.25) * v
             signed.append((a + b) / max(abs(a) + abs(b), 1e-300))

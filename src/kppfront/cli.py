@@ -8,6 +8,7 @@ bytes; every command drops a manifest carrying the config digest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -72,13 +73,7 @@ def cmd_simulate(args) -> int:
         outputs.append(rel)
     _write_manifest(
         out_dir, "simulate", _digest(config_path), outputs,
-        extra={"config": {
-            "k": config.k, "amplitude": config.amplitude,
-            "xi_min": config.xi_min, "xi_max": config.xi_max,
-            "dxi": config.dxi, "dt": config.dt, "t_end": config.t_end,
-            "levels": list(config.levels),
-            "snapshot_times": list(config.snapshot_times),
-        }, "diagnostics": {
+        extra={"config": dataclasses.asdict(config), "diagnostics": {
             "clamp_total": result.clamp_total,
             "boundary_alarm": result.boundary_alarm,
         }},
@@ -219,7 +214,7 @@ def cmd_report(args) -> int:
             if coeff == "lnln_coeff":
                 critical_rows.append((k, r_hat, float(cols["residual_max"][0]), str(fpath)))
             else:
-                r_target = 0.5 * (1.0 - k)
+                r_target = frontfit.drift_target(k)
                 sim_rows.append((k, r_target, r_hat, abs(r_hat - r_target)))
     verdict_rows = []
     for vpath in sorted(run_dir.glob("**/verify_*.csv")):

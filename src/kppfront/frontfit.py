@@ -22,6 +22,14 @@ from .waves import WaveProfile
 
 SHIFT_BOUND = 10.0
 GOLDEN_TOL = 1e-4
+# The ln t coefficient of the critical law, held fixed by its fits.
+CRITICAL_LOG_COEFF = 1.5
+
+
+def drift_target(k: float) -> float:
+    """The predicted ln t coefficient r = (1 - k)/2 of the delay for data
+    with tail A x^k e^{-x}; k = -2 gives the critical r = 3/2."""
+    return 0.5 * (1.0 - k)
 
 
 @dataclass
@@ -106,7 +114,7 @@ def fit_critical(trace: FrontTrace, t_min: float, t_max: float | None = None) ->
     t, d = _windowed(trace, t_min, t_max)
     if t[-1] < 10.0 * t[0]:
         raise DomainError("critical fit needs at least one decade of t")
-    y = d - 1.5 * np.log(t)
+    y = d - CRITICAL_LOG_COEFF * np.log(t)
     design = np.column_stack([-np.log(np.log(t)), np.ones_like(t)])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     kappa, intercept = float(coef[0]), float(coef[1])
@@ -131,7 +139,7 @@ def critical_residual_comparison(trace: FrontTrace, t_min: float, t_max: float |
     least-squares fit.  Constants are Chebyshev centers so each residual is
     the best attainable for its model."""
     t, d = _windowed(trace, t_min, t_max)
-    base = d - 1.5 * np.log(t)
+    base = d - CRITICAL_LOG_COEFF * np.log(t)
 
     def minimax_residual(y: np.ndarray) -> float:
         return float(0.5 * (y.max() - y.min()))

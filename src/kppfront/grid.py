@@ -28,13 +28,6 @@ class GridFunction:
     def grid(self) -> np.ndarray:
         return self.xi0 + self.dxi * np.arange(self.values.size)
 
-    @property
-    def xi_max(self) -> float:
-        return self.xi0 + self.dxi * (self.values.size - 1)
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.xi0, self.dxi, self.values.copy())
-
     def same_grid(self, other: "GridFunction", tol: float = 1e-12) -> bool:
         return (
             self.values.size == other.values.size

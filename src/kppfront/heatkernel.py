@@ -25,6 +25,15 @@ from .sim import front_data_log_weighted
 # Gaussian factor below 1e-18 of its peak is dropped.
 _TRUNC_LOG = math.log(1e18)
 _QUAD_LIMIT = 300
+# Absolute quadrature tolerance of every verification (and of the critical
+# certificates in ansatz).
+VERIFY_TOL = 1e-13
+# Sample grids (increasing t values, x points per t) of the gradient-bound and
+# the weighted-sup sweeps.
+GRADIENT_T_SAMPLES = tuple(np.logspace(2, 8, 7).tolist())
+GRADIENT_N_X = 10
+WEIGHTED_SUP_T_SAMPLES = tuple(np.logspace(0, 8, 17).tolist())
+WEIGHTED_SUP_N_X = 12
 
 # Predicted constants for the far-field densities (used by tests/reports only).
 X_EQ_2SQRT_T_LIMIT = math.exp(-1.0) / math.sqrt(math.pi)
@@ -65,15 +74,23 @@ def _piecewise_quad(f, edges: list[float], tol: float, relative: bool = False) -
         err += e
         neval += info["neval"]
     budget = tol * abs(total) if relative else tol
-    if err > max(budget, abs(total) * 1e-10, 1e-300):
+    # negated so that a NaN estimate fails too
+    if not err <= max(budget, abs(total) * 1e-10, 1e-300):
         raise NumericsError(f"quadrature error estimate {err:.2e} exceeds tolerance {tol:.2e}")
     return QuadratureResult(total, err, neval)
 
 
-def _dirichlet_edges(t: float, x: float, data_kinks: tuple[float, ...]) -> list[float]:
+def _check_heat_domain(t: float, x: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be finite and positive, got {t}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"x must be finite and nonnegative, got {x}")
+
+
+def _dirichlet_edges(t: float, x: float) -> list[float]:
     radius = 2.0 * math.sqrt(t * _TRUNC_LOG) + 10.0
     hi = x + radius
-    pts = {p for p in data_kinks if 0.0 < p < hi}
+    pts = {1.0}  # the kink of the critical data; hi > 10 always
     for p in (x - math.sqrt(t), x, x + math.sqrt(t)):
         if 0.0 < p < hi:
             pts.add(p)
@@ -85,62 +102,58 @@ def _dirichlet_edges(t: float, x: float, data_kinks: tuple[float, ...]) -> list[
     return [0.0] + sorted(pts) + [hi]
 
 
+def _dirichlet_integral(t: float, x: float, integrand: Callable[[float], float],
+                        outer: float, tol: float) -> QuadratureResult:
+    """outer times the integral of integrand over y > 0, to absolute
+    tolerance tol on the scaled value."""
+    res = _piecewise_quad(integrand, _dirichlet_edges(t, x), tol / outer)
+    return QuadratureResult(outer * res.value, outer * res.abs_error_estimate, res.evaluations)
+
+
 def v_dirichlet(
     t: float, x: float, tol: float = 1e-12, data: Callable[[float], float] | None = None
 ) -> QuadratureResult:
     """Half-line Dirichlet heat solution at (t, x) from the critical data (or
     any data vanishing at 0 passed through `data`)."""
-    if not t > 0.0:
-        raise DomainError("t must be positive")
-    if x < 0.0:
-        raise DomainError("x must be nonnegative")
+    _check_heat_domain(t, x)
     if x == 0.0:
         return QuadratureResult(0.0, 0.0, 0)
     v0 = critical_data if data is None else data
-    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
 
     def integrand(y: float) -> float:
         g = math.exp(-((x - y) ** 2) / (4.0 * t))
         return g * (-math.expm1(-x * y / t)) * v0(y)
 
-    res = _piecewise_quad(integrand, _dirichlet_edges(t, x, (1.0,)), tol / pref)
-    return QuadratureResult(pref * res.value, pref * res.abs_error_estimate, res.evaluations)
+    return _dirichlet_integral(t, x, integrand, 1.0 / math.sqrt(4.0 * math.pi * t), tol)
 
 
 def v_dirichlet_dx(t: float, x: float, tol: float = 1e-12) -> QuadratureResult:
     """Spatial derivative of v_dirichlet via the differentiated kernel."""
-    if not t > 0.0:
-        raise DomainError("t must be positive")
-    if x < 0.0:
-        raise DomainError("x must be nonnegative")
-    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
+    _check_heat_domain(t, x)
 
     def integrand(y: float) -> float:
         a = math.exp(-((x - y) ** 2) / (4.0 * t))
         b = math.exp(-((x + y) ** 2) / (4.0 * t))
         return (-(x - y) * a + (x + y) * b) / (2.0 * t) * critical_data(y)
 
-    res = _piecewise_quad(integrand, _dirichlet_edges(t, x, (1.0,)), tol / pref)
-    return QuadratureResult(pref * res.value, pref * res.abs_error_estimate, res.evaluations)
+    return _dirichlet_integral(t, x, integrand, 1.0 / math.sqrt(4.0 * math.pi * t), tol)
 
 
 def v_dirichlet_sinh_form(t: float, x: float, tol: float = 1e-12) -> QuadratureResult:
     """Independent route: e^{-x^2/4t}/sqrt(pi t) integral of e^{-y^2/4t}
     sinh(xy/2t) v0; cross-checks the image-kernel evaluation."""
-    if not t > 0.0 or x < 0.0:
-        raise DomainError("need t > 0, x >= 0")
+    _check_heat_domain(t, x)
     if x == 0.0:
         return QuadratureResult(0.0, 0.0, 0)
-    outer = math.exp(-x * x / (4.0 * t)) / math.sqrt(math.pi * t)
 
     def integrand(y: float) -> float:
         return math.exp(-y * y / (4.0 * t)) * math.sinh(x * y / (2.0 * t)) * critical_data(y)
 
-    res = _piecewise_quad(integrand, _dirichlet_edges(t, x, (1.0,)), tol / outer)
-    return QuadratureResult(outer * res.value, outer * res.abs_error_estimate, res.evaluations)
+    outer = math.exp(-x * x / (4.0 * t)) / math.sqrt(math.pi * t)
+    return _dirichlet_integral(t, x, integrand, outer, tol)
 
 
-def verify_midrange_band(t: float, x_samples=None, tol: float = 1e-13) -> VerificationReport:
+def verify_midrange_band(t: float, x_samples=None) -> VerificationReport:
     """Two-sided x ln t / t^{3/2} band for v on x in (1, ln t): records the
     empirical ratio band; pass iff every ratio lies in [0.05, 5]."""
     if t < 100.0:
@@ -151,7 +164,7 @@ def verify_midrange_band(t: float, x_samples=None, tol: float = 1e-13) -> Verifi
     for x in x_samples:
         if not 1.0 < x < math.log(t):
             raise DomainError(f"x = {x} outside (1, ln t) at t = {t}")
-        v = v_dirichlet(t, float(x), tol).value
+        v = v_dirichlet(t, float(x), VERIFY_TOL).value
         ratios.append(v * t**1.5 / (x * math.log(t)))
     lo, hi = min(ratios), max(ratios)
     ok = 0.05 <= lo and hi <= 5.0
@@ -209,32 +222,29 @@ def v_wholeline_kpp_log(
     return ln_v, rel, res.evaluations
 
 
-def gradient_bound_constant(
-    t_samples=None, n_x: int = 10, tol: float = 1e-13
-) -> tuple[float, VerificationReport]:
+def gradient_bound_constant() -> tuple[float, VerificationReport]:
     """Empirical C with dx v / v >= -C / t^{1/4} over the sampled domain.
 
     x ranges over (0, min(4 t^{3/4}, 26 sqrt(t))]; the second cap keeps v inside
     double range (beyond it v < 1e-290 and the bound region is long past its
     worst case, which sits at x = O(t^{3/4}) for small t)."""
-    if t_samples is None:
-        t_samples = np.logspace(2, 8, 7)
     worst = 0.0
     at = (math.nan, math.nan)
-    for t in t_samples:
+    for t in GRADIENT_T_SAMPLES:
         x_hi = min(4.0 * t**0.75, 26.0 * math.sqrt(t))
-        for x in np.geomspace(x_hi / 300.0, x_hi, n_x):
-            v = v_dirichlet(float(t), float(x), tol).value
+        for x in np.geomspace(x_hi / 300.0, x_hi, GRADIENT_N_X):
+            v = v_dirichlet(t, float(x), VERIFY_TOL).value
             if v <= 1e-290:
                 continue
-            dv = v_dirichlet_dx(float(t), float(x), max(tol, v * 1e-8)).value
+            dv = v_dirichlet_dx(t, float(x), max(VERIFY_TOL, v * 1e-8)).value
             c = -(dv / v) * t**0.25
             if c > worst:
                 worst = c
-                at = (float(t), float(x))
+                at = (t, float(x))
     report = VerificationReport(
         name="dirichlet_gradient_bound",
-        domain={"t": f"[{min(t_samples):g}, {max(t_samples):g}]", "x": "(0, min(4 t^3/4, 26 sqrt t)]"},
+        domain={"t": f"[{GRADIENT_T_SAMPLES[0]:g}, {GRADIENT_T_SAMPLES[-1]:g}]",
+                "x": "(0, min(4 t^3/4, 26 sqrt t)]"},
         worst_signed_residual=worst,
         verdict="pass" if math.isfinite(worst) else "fail",
         details={"C_hat": worst, "worst_at": at},
@@ -242,35 +252,33 @@ def gradient_bound_constant(
     return worst, report
 
 
-def verify_weighted_sup_exponent(eps: float, t_samples=None, n_x: int = 12, tol: float = 1e-13) -> VerificationReport:
+def verify_weighted_sup_exponent(eps: float) -> VerificationReport:
     """Running sup of e^{-x} v(t,x) (t+1)^{3/2-eps}; pass iff the sup grows by
     less than 1% between the 1e6 and 1e8 decades (eps = 0 is the sharp exponent
     and is expected to keep growing like ln t)."""
     if not 0.0 <= eps <= 0.5:
         raise DomainError("eps must lie in [0, 1/2]")
-    if t_samples is None:
-        t_samples = np.logspace(0, 8, 17)
     running = 0.0
     running_at = {}
-    for t in sorted(float(t) for t in t_samples):
+    for t in WEIGHTED_SUP_T_SAMPLES:
         x_hi = max(3.0 * math.log(t + 3.0), 6.0)
         # e^{-x}-weighted quantities peak near x = 1: sample that region densely
-        xs = np.concatenate([np.linspace(0.1, 3.0, max(n_x // 2, 4)),
-                             np.linspace(3.5, x_hi, max(n_x - n_x // 2, 4))])
+        xs = np.concatenate([np.linspace(0.1, 3.0, WEIGHTED_SUP_N_X // 2),
+                             np.linspace(3.5, x_hi, WEIGHTED_SUP_N_X // 2)])
         for x in xs:
-            v = v_dirichlet(t, float(x), tol).value
+            v = v_dirichlet(t, float(x), VERIFY_TOL).value
             val = math.exp(-x) * v * (t + 1.0) ** (1.5 - eps)
             if val > running:
                 running = val
         running_at[t] = running
-    ts = sorted(running_at)
     sup_at_1e6 = max(v for t, v in running_at.items() if t <= 1.000001e6)
-    sup_final = running_at[ts[-1]]
+    sup_final = running
     growth = sup_final / sup_at_1e6 - 1.0
     verdict = "pass" if growth < 0.01 else "fail"
     return VerificationReport(
         name=f"weighted_sup_eps{eps:g}",
-        domain={"t": f"[{ts[0]:g}, {ts[-1]:g}]", "x_per_t": n_x},
+        domain={"t": f"[{WEIGHTED_SUP_T_SAMPLES[0]:g}, {WEIGHTED_SUP_T_SAMPLES[-1]:g}]",
+                "x_per_t": WEIGHTED_SUP_N_X},
         worst_signed_residual=growth,
         verdict=verdict,
         details={"running_sup": sup_final, "growth_last_decades": growth, "eps": eps},

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -397,26 +397,26 @@ def simulate(config: SimConfig) -> SimResult:
     )
 
 
-_CONFIG_KEYS = {
-    "k", "amplitude", "xi_min", "xi_max", "dxi", "dt", "t_end", "levels",
-    "snapshot_times",
-}
+# Every SimConfig field is a config key; a field with a tuple default takes a
+# list of floats, every other field one float.
+_CONFIG_KEYS = frozenset(f.name for f in fields(SimConfig))
+_TUPLE_KEYS = tuple(f.name for f in fields(SimConfig) if isinstance(f.default, tuple))
+_REQUIRED_KEYS = tuple(f.name for f in fields(SimConfig) if f.default is MISSING)
 
 
 def config_from_mapping(raw: dict[str, str]) -> SimConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    if "k" not in raw:
-        raise DomainError("config must set k")
-    kwargs: dict = {"k": float(raw["k"])}
-    for key in ("amplitude", "xi_min", "xi_max", "dxi", "dt", "t_end"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    for key in ("levels", "snapshot_times"):
-        if key in raw:
-            vals = [p for p in raw[key].replace(",", " ").split() if p]
-            kwargs[key] = tuple(float(v) for v in vals)
+    missing = [key for key in _REQUIRED_KEYS if key not in raw]
+    if missing:
+        raise DomainError(f"config must set {', '.join(missing)}")
+    kwargs = {}
+    for key, text in raw.items():
+        if key in _TUPLE_KEYS:
+            kwargs[key] = tuple(float(v) for v in text.replace(",", " ").split())
+        else:
+            kwargs[key] = float(text)
     return SimConfig(**kwargs)
 
 

@@ -36,7 +36,6 @@ class WaveProfile:
     dz: float
     values: np.ndarray = field(repr=False)
     B: float = 0.0
-    kind: str = "minimal_wave"
     gamma: float | None = None
     dvalues: np.ndarray | None = field(default=None, repr=False)
 
@@ -188,7 +187,7 @@ def minimal_wave(z_min: float = -30.0, z_max: float = 55.0, dz: float = 1e-3) ->
         delta *= math.exp(MU_UNSTABLE * crossing)
     if abs(crossing) > 1e-9:
         raise NumericsError(f"crossing recentering stalled at {crossing:.3e}")
-    return _finished(WaveProfile(z0=z_min, dz=dz, values=vals, kind="minimal_wave", dvalues=dvals))
+    return _finished(WaveProfile(z0=z_min, dz=dz, values=vals, dvalues=dvals))
 
 
 @lru_cache(maxsize=32)
@@ -211,7 +210,7 @@ def phi_gamma(gamma: float, z_max: float = 55.0, dz: float = 1e-3) -> WaveProfil
     if np.any(logslope < -1.0 - 1e-12):
         raise NumericsError("phi'/phi dropped below -1: integration error")
     return _finished(
-        WaveProfile(z0=0.0, dz=dz, values=vals, kind="phi_gamma", gamma=gamma, dvalues=dvals)
+        WaveProfile(z0=0.0, dz=dz, values=vals, gamma=gamma, dvalues=dvals)
     )
 
 
