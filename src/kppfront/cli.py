@@ -76,6 +76,9 @@ def cmd_simulate(args) -> int:
         extra={"config": dataclasses.asdict(config), "diagnostics": {
             "clamp_total": result.clamp_total,
             "boundary_alarm": result.boundary_alarm,
+            "n_steps": result.n_steps,
+            "dt_min": result.dt_min,
+            "dt_max": result.dt_max,
         }},
     )
     print(f"simulate k={config.k:g}: {len(outputs)} files under {out_dir}")

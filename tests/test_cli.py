@@ -73,9 +73,14 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 0
         diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert set(diagnostics) == {"clamp_total", "boundary_alarm"}
+        assert set(diagnostics) == {"clamp_total", "boundary_alarm", "n_steps", "dt_min", "dt_max"}
         assert 0.0 <= diagnostics["clamp_total"] <= 1e-9
         assert diagnostics["boundary_alarm"] is False
+        # dt = 0.05 is the floor; the step grows like 1e-3 t, to at most 0.2
+        assert 0.04 < diagnostics["dt_min"] <= 0.05
+        assert 0.15 < diagnostics["dt_max"] <= 0.2
+        assert isinstance(diagnostics["n_steps"], int)
+        assert 200.0 / 0.2 < diagnostics["n_steps"] < 200.0 / 0.05
 
     def test_reruns_byte_identical(self, config_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

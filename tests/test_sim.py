@@ -21,7 +21,14 @@ from kppfront import (
     step,
 )
 from kppfront.errors import NumericsError
-from kppfront.sim import Stepper, config_from_mapping, fitted_stencil, init_front_data_weighted
+from kppfront.sim import (
+    DT_MAX,
+    Stepper,
+    _step_count,
+    config_from_mapping,
+    fitted_stencil,
+    init_front_data_weighted,
+)
 
 
 def _dirichlet_splu(n, dt, c_minus, c_0, c_plus):
@@ -54,7 +61,8 @@ class TestConfig:
 
     def test_rejects_bad_dt(self):
         with pytest.raises(DomainError):
-            small_config(dt=0.2)
+            small_config(dt=math.nextafter(DT_MAX, 1.0))
+        assert small_config(dt=DT_MAX).dt == 0.5
 
     def test_rejects_narrow_domain(self):
         with pytest.raises(DomainError):
@@ -245,6 +253,40 @@ class TestStep:
         rhs[0], rhs[-1] = ub[0], ub[-1]
         np.testing.assert_allclose(stepper.step_weighted(ub), lu.solve(rhs), rtol=1e-11, atol=0.0)
 
+    def test_rejects_step_above_monotonicity_bound(self):
+        above = math.nextafter(DT_MAX, 1.0)
+        with pytest.raises(DomainError):
+            Stepper(200, 0.05, above)
+        stepper = Stepper(200, 0.05, DT_MAX)
+        with pytest.raises(DomainError):
+            stepper.set_dt(above)
+
+    def test_set_dt_matches_fresh_stepper(self):
+        stepper = Stepper(200, 0.05, 0.01)
+        stepper.set_dt(0.3)
+        ub = stepper.to_weighted(np.linspace(1.0, 0.0, 200))
+        np.testing.assert_array_equal(stepper.step_weighted(ub),
+                                      Stepper(200, 0.05, 0.3).step_weighted(ub))
+
+    def test_rounding_on_one_is_not_counted_as_clamping(self):
+        # u = 1 is held as ub = e^{xi} on a rounded grid, so the range guard
+        # clips ulp-level overshoot; none of it is real clamping
+        stepper = Stepper(601, 0.1, 0.1, xi0=-60.0)
+        ub = stepper.to_weighted(np.ones(601))
+        for _ in range(3000):
+            ub = stepper.step_weighted(ub)
+        assert stepper.clamp_total == 0.0
+        np.testing.assert_allclose(stepper.to_linear(ub), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_real_overshoot_is_counted(self):
+        # u = 1 + d steps to about 1 + d (1 - 2 dt) / (1 - dt), all clipped
+        n, d, dt = 601, 1e-10, 0.1
+        stepper = Stepper(n, 0.1, dt, xi0=-60.0)
+        out = stepper.step_weighted(stepper.to_weighted(np.full(n, 1.0 + d)))
+        np.testing.assert_allclose(stepper.to_linear(out), 1.0, rtol=0.0, atol=1e-15)
+        expected = (n - 2) * d * (1.0 - 2.0 * dt) / (1.0 - dt)
+        np.testing.assert_allclose(stepper.clamp_total, expected, rtol=0.02)
+
     def test_step_leaves_input_untouched(self):
         stepper = Stepper(200, 0.05, 0.01)
         ub = stepper.to_weighted(np.linspace(1.0, 0.0, 200))
@@ -377,15 +419,18 @@ def _monotone_pair(rng, n):
 
 class TestComparisonPrinciple:
     def test_fifty_random_ordered_pairs_for_1000_steps(self):
+        # dt = DT_MAX is where the grown schedule ends up; the sink is still
+        # monotone there (dt max u <= 1/2)
         rng = np.random.default_rng(20260808)
         n = 240
-        stepper = Stepper(n, 0.05, 0.01)
-        for _ in range(50):
-            lo, hi = _monotone_pair(rng, n)
-            for _step in range(1000):
-                lo = stepper.step_values(lo)
-                hi = stepper.step_values(hi)
-            assert np.min(hi - lo) >= -1e-12
+        for dt in (0.01, DT_MAX):
+            stepper = Stepper(n, 0.05, dt)
+            for _ in range(50):
+                lo, hi = _monotone_pair(rng, n)
+                for _step in range(1000):
+                    lo = stepper.step_values(lo)
+                    hi = stepper.step_values(hi)
+                assert np.min(hi - lo) >= -1e-12
 
     def test_monotone_data_stays_monotone(self):
         cfg = small_config(k=0.0, t_end=5.0)
@@ -445,3 +490,58 @@ class TestSimulate:
         mask = tr.times >= 10.0
         speeds = np.diff(tr.positions[mask]) / np.diff(tr.times[mask])
         assert np.all(np.abs(speeds - 2.0) < 0.2)
+
+
+class TestStepSchedule:
+    def test_trace_times_are_the_exact_ladder(self):
+        cfg = small_config(k=1.0, t_end=50.0)
+        res = simulate(cfg)
+        ladder = [1.2**j for j in range(22)]  # 1.2^21 = 46.0 < 50 < 1.2^22
+        expected = np.array(ladder + [50.0])
+        for trace in res.traces.values():
+            np.testing.assert_array_equal(trace.times, expected)
+
+    def test_snapshot_sits_at_its_exact_time(self):
+        # off every multiple of dt; up to ts the two runs stop at the same
+        # times, so the snapshot is bit for bit the state at t_end = ts
+        ts = 7.1234
+        snap = simulate(small_config(k=0.0, t_end=12.0, snapshot_times=(0.0, ts))).snapshots
+        assert sorted(snap) == [0.0, ts]
+        np.testing.assert_allclose(snap[0.0].values, init_front_data(small_config(k=0.0)).values,
+                                   rtol=1e-15, atol=0.0)
+        direct = simulate(small_config(k=0.0, t_end=ts)).traces[0.5]
+        assert direct.times[-1] == ts
+        assert extract_level(snap[ts], ts, 0.5) == direct.positions[-1]
+
+    @pytest.mark.parametrize("span,h,n", [
+        (3 * 0.1, 0.1, 3),  # (3 * 0.1) / 0.1 rounds to 3.0000000000000004
+        (0.25, 0.1, 3),
+        (1.0 + 1e-10, DT_MAX, 3),  # two steps would overshoot DT_MAX by 5e-11
+    ])
+    def test_step_count(self, span, h, n):
+        assert _step_count(span, h) == n
+        assert span / n <= DT_MAX
+
+    def test_rejects_negative_snapshot_time(self):
+        with pytest.raises(DomainError, match="snapshot"):
+            small_config(snapshot_times=(-1.0,))
+
+    def test_every_step_within_bound_and_grows_to_it(self, monkeypatch):
+        # t_end = 2000 takes the step from dt = 0.1 through 1e-3 t to DT_MAX
+        sizes = []
+        original = Stepper.set_dt
+
+        def recording(self, dt):
+            sizes.append(dt)
+            original(self, dt)
+
+        monkeypatch.setattr(Stepper, "set_dt", recording)
+        cfg = SimConfig(k=0.0, xi_min=-20.0, dxi=0.2, dt=0.1, t_end=2000.0)
+        res = simulate(cfg)
+        grown = sizes[1:]  # the first call is the constructor's config.dt
+        assert all(0.0 < dt <= DT_MAX for dt in grown)
+        assert res.dt_min == min(grown) and res.dt_max == max(grown)
+        assert res.dt_max > 0.49  # the ladder spans are not whole multiples of DT_MAX
+        assert cfg.dt / 2 < res.dt_min <= cfg.dt  # a short span can halve the step
+        # 1000 steps to t = 100, 1000 ln 5 to t = 500, 3000 at DT_MAX
+        assert 5000 < res.n_steps < 6000
