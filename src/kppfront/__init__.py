@@ -23,10 +23,8 @@ from .sim import (
     SimResult,
     discrete_residual,
     extract_level,
-    init_front_data,
     load_config,
     simulate,
-    step,
 )
 from .frontfit import FitResult, fit_critical, fit_log_correction, wave_distance
 from .report import VerificationReport
@@ -47,13 +45,11 @@ __all__ = [
     "extract_level",
     "fit_critical",
     "fit_log_correction",
-    "init_front_data",
     "load_config",
     "minimal_wave",
     "ode_residual",
     "phi_gamma",
     "simulate",
-    "step",
     "w_asymptotic_constant",
     "w_eval",
     "w_ode_oracle",

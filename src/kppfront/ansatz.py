@@ -170,7 +170,9 @@ def _psi_domain(t0: float, n_t: int, n_y: int) -> dict:
 def check_supersolution(r: float, n_t: int = DEFAULT_N_T, n_y: int = DEFAULT_N_Y) -> VerificationReport:
     """Sign certificate for the bracket
         (1 - M/sqrt t) r' w'(y) + (M/2) w(y),  y = z / sqrt t,
-    which must be >= 0 for the damped psi ansatz to be a super-solution."""
+    which must be >= 0 for the damped psi ansatz to be a super-solution.
+    For r <= 0 the constants r' = 0, M = 0 make the bracket identically 0:
+    the report reads 0 and shows no margin, by construction."""
     consts = supersolution_constants(r)
     r_prime, M, t0 = consts["r_prime"], consts["M"], consts["t0"]
     ys = np.linspace(0.0, Y_MAX, n_y)
@@ -296,7 +298,9 @@ def check_phi_eta_sub(r: float) -> VerificationReport:
     z in (0, 2 sqrt t]:
         (-eta^2 - r)/t + (e^{eta z / sqrt t} - gamma) phi(z) <= 0
     with eta = sqrt(-r), gamma = e^{2 eta}; also checks the positive gluing
-    angle at z = 0."""
+    angle at z = 0.  Normalized by its own magnitude, every sample reads -1
+    but y = 2, where e^{2 eta} = gamma gives an exact 0: the report reads 0
+    and shows no margin, by construction; only the gluing angle can fail."""
     if not r < 0.0:
         raise DomainError("phi_eta_sub requires r < 0")
     eta = math.sqrt(-r)

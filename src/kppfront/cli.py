@@ -154,12 +154,7 @@ def _trace_from_csv(path: Path) -> sim.FrontTrace:
     cols = read_csv_columns(path)
     if "t" not in cols or "x_m" not in cols:
         raise ValueError(f"{path}: expected columns t, x_m")
-    level = math.nan
-    name = path.stem
-    if name.startswith("level_"):
-        level = float(name.split("_", 1)[1])
     return sim.FrontTrace(
-        level=level,
         times=np.asarray(cols["t"], dtype=float),
         positions=np.asarray(cols["x_m"], dtype=float),
     )

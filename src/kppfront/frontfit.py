@@ -42,18 +42,11 @@ class FitResult:
     r_hat_pairwise: float | None = None
     coefficient: str = "r"
 
-    def ci_half_width(self) -> float:
-        """Coarse slope uncertainty: a residual_max-sized wiggle tilted across
-        the regressor range."""
-        t0, t1 = self.window
-        span = math.log(t1 / t0)
-        return 2.0 * self.residual_max / span if span > 0 else math.inf
-
     def report_block(self) -> str:
         lines = [
             f"estimator     : {self.estimator}",
             f"window        : t in [{self.window[0]:g}, {self.window[1]:g}]",
-            f"{self.coefficient:<14}: {self.r_hat:+.6f}  (+/- {self.ci_half_width():.4f})",
+            f"{self.coefficient:<14}: {self.r_hat:+.6f}",
             f"intercept     : {self.intercept:+.6f}",
             f"residual_max  : {self.residual_max:.3e}",
         ]
@@ -86,14 +79,20 @@ def _windowed(trace: FrontTrace, t_min: float, t_max: float | None = None):
     return t[mask], trace.delays()[mask]
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least squares of y against (x, 1): slope, intercept and the largest
+    absolute residual."""
+    design = np.column_stack([x, np.ones_like(x)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    residual = float(np.abs(y - design @ coef).max())
+    return float(coef[0]), float(coef[1]), residual
+
+
 def fit_log_correction(trace: FrontTrace, t_min: float, t_max: float | None = None) -> FitResult:
     """Least squares of d(t) against (ln t, 1); the extreme-pair slope
     (d(t1)-d(t0))/ln(t1/t0) is reported alongside."""
     t, d = _windowed(trace, t_min, t_max)
-    design = np.column_stack([np.log(t), np.ones_like(t)])
-    coef, *_ = np.linalg.lstsq(design, d, rcond=None)
-    r_hat, intercept = float(coef[0]), float(coef[1])
-    residual = float(np.abs(d - design @ coef).max())
+    r_hat, intercept, residual = _line_fit(np.log(t), d)
     pairwise = float((d[-1] - d[0]) / math.log(t[-1] / t[0]))
     return FitResult(
         r_hat=r_hat,
@@ -115,10 +114,7 @@ def fit_critical(trace: FrontTrace, t_min: float, t_max: float | None = None) ->
     if t[-1] < 10.0 * t[0]:
         raise DomainError("critical fit needs at least one decade of t")
     y = d - CRITICAL_LOG_COEFF * np.log(t)
-    design = np.column_stack([-np.log(np.log(t)), np.ones_like(t)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    kappa, intercept = float(coef[0]), float(coef[1])
-    residual = float(np.abs(y - design @ coef).max())
+    kappa, intercept, residual = _line_fit(-np.log(np.log(t)), y)
     return FitResult(
         r_hat=kappa,
         intercept=intercept,

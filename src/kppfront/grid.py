@@ -6,6 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Largest difference in origin or spacing between two grids taken as the same.
+SAME_GRID_TOL = 1e-12
+
 
 @dataclass
 class GridFunction:
@@ -22,15 +25,12 @@ class GridFunction:
         if not self.dxi > 0.0:
             raise ValueError("grid spacing must be positive")
 
-    def __len__(self) -> int:
-        return self.values.size
-
     def grid(self) -> np.ndarray:
         return self.xi0 + self.dxi * np.arange(self.values.size)
 
-    def same_grid(self, other: "GridFunction", tol: float = 1e-12) -> bool:
+    def same_grid(self, other: "GridFunction") -> bool:
         return (
             self.values.size == other.values.size
-            and abs(self.xi0 - other.xi0) <= tol
-            and abs(self.dxi - other.dxi) <= tol
+            and abs(self.xi0 - other.xi0) <= SAME_GRID_TOL
+            and abs(self.dxi - other.dxi) <= SAME_GRID_TOL
         )

@@ -12,10 +12,10 @@ class VerificationReport:
     how badly the claimed sign/bound was violated, and the verdict."""
 
     name: str
-    domain: dict = field(default_factory=dict)
-    worst_signed_residual: float = math.nan
+    domain: dict
+    worst_signed_residual: float
+    verdict: str
     closed_form_mismatch: float = math.nan
-    verdict: str = "pass"
     details: dict = field(default_factory=dict)
 
     @property

@@ -47,8 +47,12 @@ the same work on each decade of t.  The output times (the trace ladder
 output interval [t_a, t_b] the target step is
 h = min(DT_MAX, max(config.dt, DT_GROWTH t_a)): config.dt up to
 t = config.dt / DT_GROWTH, then growing like t, capped at DT_MAX.  The
-interval takes n = ceil((t_b - t_a) / h) equal steps of (t_b - t_a) / n, and
-the interior matrix is refactored in place once per interval.  A scheme that
+interval takes the fewest equal steps no longer than h,
+n = ceil((t_b - t_a) / h), and the interior matrix is refactored in place
+once per interval.  On an interval longer than h the steps lie in (h/2, h];
+one shorter than h (a snapshot time or t_end next to a ladder time) takes
+one step of its own length.  So a step can be shorter than config.dt: the
+critical fixture's smallest is 0.08 at dt = 0.1.  A scheme that
 preserves positivity at every dt is at most first order (Bolley & Crouzeix,
 RAIRO 1978), so the schedule, not the order, is where the work is saved.
 
@@ -60,11 +64,11 @@ Stepper.clamp_total, so rounding noise on u = 1 reads 0 there.
 
 Initial datum.  The front-like datum u0 ~ A xi^k e^{-xi} is defined once,
 in weighted log space, by front_data_log_weighted = ln(e^{xi} u0).  The
-weighted initial state is its exp, the plain-u datum is exp(. - xi), and the
-whole-line heat oracle in heatkernel uses the same function.
+weighted initial state is its exp, the plain-u datum is Stepper.to_linear of
+that, and the whole-line heat oracle in heatkernel uses the same function.
 
-The public surface (initial data, steps, snapshots, level extraction) speaks
-plain u throughout.
+simulate returns plain u (snapshots, and the traces extract_level reads off
+them); Stepper.step_values takes one step of a plain-u state.
 """
 
 from __future__ import annotations
@@ -103,7 +107,8 @@ class SimConfig:
     """Run parameters; defaults resolve the e^{-xi} tail over the whole domain.
 
     dt is the initial step: the floor of the step schedule's target step
-    h (module docstring), which stays dt until DT_GROWTH t exceeds it.
+    h (module docstring), which stays dt until DT_GROWTH t exceeds it.  A
+    step taken can be shorter than dt: in (h/2, h], or a whole short interval.
     """
 
     k: float
@@ -162,12 +167,8 @@ class SimConfig:
 class FrontTrace:
     """Level-set positions x_m(t) in the original frame x = xi + 2t."""
 
-    level: float
     times: np.ndarray = field(repr=False)
     positions: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return self.times.size
 
     def delays(self) -> np.ndarray:
         """d(t) = 2t - x_m(t), the drift behind the unit-speed-2 ray."""
@@ -224,8 +225,6 @@ class Stepper:
         if n < 3:
             raise DomainError(f"need at least 3 nodes, got {n}")
         self.n = n
-        self.dxi = dxi
-        self.xi0 = xi0
         xi = xi0 + dxi * np.arange(n)
         with np.errstate(under="ignore"):
             self._weight_down = np.exp(-xi)  # u = weight_down * ub; 0 beyond xi ~ 745
@@ -313,25 +312,10 @@ def front_data_log_weighted(xi, k: float, amplitude: float) -> np.ndarray:
     return np.where(xi <= 0.0, xi, np.where(xi < 1.0, bridge, tail))
 
 
-def init_front_data(config: SimConfig) -> GridFunction:
-    """The front-like datum in plain u; underflows to 0 past xi ~ 745."""
-    xi = config.xi_min + config.dxi * np.arange(config.n_nodes)
-    with np.errstate(under="ignore"):
-        u = np.exp(front_data_log_weighted(xi, config.k, config.amplitude) - xi)
-    return GridFunction(config.xi_min, config.dxi, u)
-
-
 def init_front_data_weighted(config: SimConfig) -> np.ndarray:
     """Weighted image e^{xi} u0, polynomial-sized where u0 underflows."""
     xi = config.xi_min + config.dxi * np.arange(config.n_nodes)
     return np.exp(front_data_log_weighted(xi, config.k, config.amplitude))
-
-
-def step(state: GridFunction, t: float, dt: float) -> GridFunction:
-    """One IMEX step; t is unused by the autonomous scheme but kept for the
-    operation signature (the frame is time-independent by construction)."""
-    stepper = Stepper(len(state), state.dxi, dt, state.xi0)
-    return GridFunction(state.xi0, state.dxi, stepper.step_values(state.values))
 
 
 def extract_level(state: GridFunction, t: float, m: float) -> float:
@@ -425,7 +409,7 @@ def simulate(config: SimConfig) -> SimResult:
             snapshots[t] = GridFunction(config.xi_min, config.dxi, u.copy())
     t_arr = np.asarray(trace_times)
     traces = {
-        m: FrontTrace(level=m, times=t_arr.copy(), positions=np.asarray(positions[m]))
+        m: FrontTrace(times=t_arr.copy(), positions=np.asarray(positions[m]))
         for m in config.levels
     }
     if stepper.clamp_total > 0.0:

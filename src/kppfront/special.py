@@ -22,13 +22,15 @@ from .grid import GridFunction
 CROSSOVER_Z = 30.0
 
 _EPS = 1e-17
+# Terms before kummer_1f1_series gives up; z = CROSSOVER_Z takes about 90.
+SERIES_MAX_TERMS = 500
 
 
-def kummer_1f1_series(a: float, b: float, z: float, max_terms: int = 500) -> float:
+def kummer_1f1_series(a: float, b: float, z: float) -> float:
     """Power series for 1F1(a, b, z); converges for all z, efficient for z < ~40."""
     term = 1.0
     total = 1.0
-    for n in range(max_terms):
+    for n in range(SERIES_MAX_TERMS):
         term *= (a + n) / (b + n) * z / (n + 1)
         total += term
         if abs(term) <= _EPS * abs(total) and n > 3:

@@ -26,18 +26,22 @@ _START_AMPLITUDE = 1e-8
 
 TAIL_WINDOW = 10.0
 TAIL_SPREAD_TOL = 0.02
+# Extent and step of the phi_gamma samples.
+PHI_Z_MAX = 55.0
+PHI_DZ = 1e-3
 
 
 @dataclass
 class WaveProfile:
-    """Sampled monotone profile with its exponential-tail constant."""
+    """Sampled monotone profile, its derivative samples and its
+    exponential-tail constant; gamma = 1 is the minimal wave."""
 
     z0: float
     dz: float
     values: np.ndarray = field(repr=False)
+    dvalues: np.ndarray = field(repr=False)
     B: float = 0.0
-    gamma: float | None = None
-    dvalues: np.ndarray | None = field(default=None, repr=False)
+    gamma: float = 1.0
 
     def grid(self) -> np.ndarray:
         return self.z0 + self.dz * np.arange(self.values.size)
@@ -59,37 +63,26 @@ class WaveProfile:
         out[hi] = self.values[-1]
         mid = ~(lo | hi)
         if np.any(mid):
-            if self.dvalues is None:
-                out[mid] = np.interp(z[mid], self.grid(), self.values)
-            else:
-                s = (z[mid] - self.z0) / self.dz
-                i = np.minimum(s.astype(int), self.values.size - 2)
-                t = s - i
-                h = self.dz
-                y0, y1 = self.values[i], self.values[i + 1]
-                d0, d1 = self.dvalues[i], self.dvalues[i + 1]
-                h00 = (1 + 2 * t) * (1 - t) ** 2
-                h10 = t * (1 - t) ** 2
-                h01 = t * t * (3 - 2 * t)
-                h11 = t * t * (t - 1)
-                out[mid] = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+            s = (z[mid] - self.z0) / self.dz
+            i = np.minimum(s.astype(int), self.values.size - 2)
+            t = s - i
+            h = self.dz
+            y0, y1 = self.values[i], self.values[i + 1]
+            d0, d1 = self.dvalues[i], self.dvalues[i + 1]
+            h00 = (1 + 2 * t) * (1 - t) ** 2
+            h10 = t * (1 - t) ** 2
+            h01 = t * t * (3 - 2 * t)
+            h11 = t * t * (t - 1)
+            out[mid] = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
         return float(out[0]) if scalar else out
 
     def derivative(self, z):
-        if self.dvalues is None:
-            raise NumericsError("profile carries no derivative samples")
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
         zc = np.clip(z, self.z0, self.z_max)
         out = np.interp(zc, self.grid(), self.dvalues)
         return float(out[0]) if scalar else out
-
-    def to_csv(self, path) -> None:
-        from .io import write_csv
-
-        zs = self.grid()
-        write_csv(path, ("z", "value"), zip(zs, self.values))
 
 
 def _rk4_wave(u0: float, up0: float, n: int, h: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -191,17 +184,15 @@ def minimal_wave(z_min: float = -30.0, z_max: float = 55.0, dz: float = 1e-3) ->
 
 
 @lru_cache(maxsize=32)
-def phi_gamma(gamma: float, z_max: float = 55.0, dz: float = 1e-3) -> WaveProfile:
+def phi_gamma(gamma: float) -> WaveProfile:
     """Damped companion profile: phi(0) = 1/(2 gamma), phi'(0) = 0.
 
     Guarantees checked numerically: phi' < 0 on (0, z_max] and phi'/phi >= -1.
     """
     if not gamma > 1.0:
         raise DomainError("phi_gamma requires gamma > 1")
-    if z_max < 40.0:
-        raise DomainError("need z_max >= 40 for tail extraction")
-    n = int(round(z_max / dz))
-    vals, dvals = _rk4_wave(0.5 / gamma, 0.0, n, dz, gamma)
+    n = int(round(PHI_Z_MAX / PHI_DZ))
+    vals, dvals = _rk4_wave(0.5 / gamma, 0.0, n, PHI_DZ, gamma)
     if vals.min() <= 0.0:
         raise NumericsError("phi left (0, 1/gamma); refine dz")
     if np.any(dvals[1:] >= 0.0):
@@ -210,7 +201,7 @@ def phi_gamma(gamma: float, z_max: float = 55.0, dz: float = 1e-3) -> WaveProfil
     if np.any(logslope < -1.0 - 1e-12):
         raise NumericsError("phi'/phi dropped below -1: integration error")
     return _finished(
-        WaveProfile(z0=0.0, dz=dz, values=vals, gamma=gamma, dvalues=dvals)
+        WaveProfile(z0=0.0, dz=PHI_DZ, values=vals, gamma=gamma, dvalues=dvals)
     )
 
 
@@ -219,9 +210,8 @@ def ode_residual(profile: WaveProfile) -> float:
     centered stencils so the discretization error sits well below 1e-8."""
     u = profile.values
     h = profile.dz
-    g = 1.0 if profile.gamma is None else profile.gamma
     d1 = (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * h)
     d2 = (-u[4:] + 16.0 * u[3:-1] - 30.0 * u[2:-2] + 16.0 * u[1:-3] - u[:-4]) / (12.0 * h * h)
     mid = u[2:-2]
-    res = d2 + 2.0 * d1 + mid - g * mid * mid
+    res = d2 + 2.0 * d1 + mid - profile.gamma * mid * mid
     return float(np.abs(res).max())

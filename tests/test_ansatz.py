@@ -21,10 +21,17 @@ from kppfront.ansatz import (
     supersolution_constants,
 )
 from kppfront.heatkernel import v_dirichlet, v_dirichlet_dx
+from kppfront.report import VerificationReport
 from kppfront.special import w_eval, w_prime_eval
 from kppfront.waves import phi_gamma
 
 R_SET = (-1.0, 0.0, 0.5, 1.0, 1.25)
+
+
+def test_report_needs_a_verdict():
+    # a check that forgets to set its verdict must not pass by default
+    with pytest.raises(TypeError):
+        VerificationReport(name="x", domain={}, worst_signed_residual=0.0)
 
 
 class TestPsiEval:

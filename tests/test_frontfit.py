@@ -11,8 +11,8 @@ from kppfront.frontfit import critical_residual_comparison
 from kppfront.sim import FrontTrace
 
 
-def make_trace(times, positions, level=0.5):
-    return FrontTrace(level=level, times=np.asarray(times, float), positions=np.asarray(positions, float))
+def make_trace(times, positions):
+    return FrontTrace(times=np.asarray(times, float), positions=np.asarray(positions, float))
 
 
 def geometric_times(t0, t1, factor=1.2):

@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used in that module, and
-no module keeps a cache other than the two wave-profile builds.
+"""Every name a module of the package imports is used in that module, no
+module keeps a cache other than the two wave-profile builds, and the
+package exports exactly the names its __init__ imports.
 
 The package's __init__ imports names only to re-export them, so it is
-exempt.  Uses are found with the stdlib ast module: a bound name counts as
-used when it appears as a Name anywhere in the module, annotations included.
+exempt from the unused-import check.  Uses are found with the stdlib ast
+module: a bound name counts as used when it appears as a Name anywhere in
+the module, annotations included.
 """
 
 import ast
@@ -41,6 +43,18 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_all_exports_resolve():
+    # a deleted function must not stay exported: `from kppfront import *`
+    # would fail on it
+    assert all(hasattr(kppfront, name) for name in kppfront.__all__)
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    assert sorted(kppfront.__all__) == sorted(imported)
+    assert len(kppfront.__all__) == len(set(kppfront.__all__))
 
 
 def test_only_the_wave_profiles_are_cached():

@@ -10,17 +10,17 @@ import scipy.sparse.linalg as spla
 
 from kppfront import (
     DomainError,
+    FrontTrace,
     GridFunction,
     LevelNotAttainedError,
     SimConfig,
     discrete_residual,
     extract_level,
-    init_front_data,
     minimal_wave,
     simulate,
-    step,
 )
 from kppfront.errors import NumericsError
+from kppfront.io import read_csv_columns
 from kppfront.sim import (
     DT_MAX,
     Stepper,
@@ -52,6 +52,17 @@ def small_config(**kw):
     defaults = dict(k=1.0, t_end=20.0, xi_min=-40.0, xi_max=60.0, dxi=0.05, dt=0.01)
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def config_stepper(cfg):
+    return Stepper(cfg.n_nodes, cfg.dxi, cfg.dt, cfg.xi_min)
+
+
+def plain_datum(cfg):
+    """The datum in plain u by the route simulate takes for its t = 0
+    snapshot: to_linear of the weighted datum."""
+    u = config_stepper(cfg).to_linear(init_front_data_weighted(cfg))
+    return GridFunction(cfg.xi_min, cfg.dxi, u)
 
 
 class TestConfig:
@@ -115,39 +126,42 @@ class TestInitFrontData:
     @pytest.mark.parametrize("kw,n", PRODUCTION_GRIDS)
     def test_plain_is_weighted_times_decay(self, kw, n, A):
         cfg = SimConfig(amplitude=A, **kw)
-        u0 = init_front_data(cfg)
+        u0 = plain_datum(cfg)
         u, xi = u0.values, u0.grid()
         with np.errstate(under="ignore"):
             expected = np.exp(-xi) * _front_data_weighted_closed_form(xi, cfg.k, A)
         normal = expected >= np.finfo(float).tiny
-        # u = exp(ln(e^{xi} u0) - xi) rounds its exponent, an error of about
-        # |xi| ulp relative to u (5.8e-14 at xi ~ 700)
+        # u = exp(L) e^{-xi} with L = ln(e^{xi} u0), |L| <= |xi|: rounding L
+        # costs about |L| ulp relative to u (at most 22 ulp on these grids)
         bound = (4.0 + np.abs(xi[normal])) * np.finfo(float).eps * expected[normal]
         assert np.all(np.abs(u[normal] - expected[normal]) <= bound)
         assert np.all(u[~normal] < np.finfo(float).tiny)
 
     def test_pure_exponential_tail_point(self):
         cfg = small_config(k=0.0, amplitude=1.0)
-        u0 = init_front_data(cfg)
+        u0 = plain_datum(cfg)
         i = int(round((5.0 - cfg.xi_min) / cfg.dxi))
         np.testing.assert_allclose(u0.values[i], math.exp(-5.0), rtol=1e-12)
 
     def test_critical_tail_point(self):
         cfg = small_config(k=-2.0, amplitude=1.0)
-        u0 = init_front_data(cfg)
+        u0 = plain_datum(cfg)
         i = int(round((10.0 - cfg.xi_min) / cfg.dxi))
         np.testing.assert_allclose(u0.values[i], math.exp(-10.0) / 100.0, rtol=1e-12)
 
     def test_left_state_is_one(self):
-        u0 = init_front_data(small_config(k=3.0))
-        assert u0.values[0] == 1.0
-        i0 = int(round((0.0 - u0.xi0) / u0.dxi))
-        assert np.all(u0.values[: i0 + 1] == 1.0)
+        # on xi <= 0 the weighted datum is bit for bit the stepper's image of
+        # u = 1, its clamp ceiling; in plain u that reads 1 only to rounding
+        # (e^{xi} e^{-xi}), which test_plain_is_weighted_times_decay bounds
+        cfg = small_config(k=3.0)
+        one = config_stepper(cfg).to_weighted(np.ones(cfg.n_nodes))
+        i0 = int(round((0.0 - cfg.xi_min) / cfg.dxi))
+        np.testing.assert_array_equal(init_front_data_weighted(cfg)[: i0 + 1], one[: i0 + 1])
 
     @pytest.mark.parametrize("k,A", [(0.0, 1.0), (-2.0, 1.0), (3.0, 1.0), (1.0, 2.5)])
     def test_two_sided_tail_bound(self, k, A):
         cfg = small_config(k=k, amplitude=A)
-        u0 = init_front_data(cfg)
+        u0 = plain_datum(cfg)
         xi = u0.grid()
         m = xi > 1.0
         envelope = A * xi[m] ** k * np.exp(-xi[m])
@@ -159,7 +173,7 @@ class TestInitFrontData:
 
     def test_continuous_positive(self):
         cfg = small_config(k=-2.0)
-        u0 = init_front_data(cfg)
+        u0 = plain_datum(cfg)
         xi = u0.grid()
         core = xi <= 30.0
         assert np.all(u0.values[core] > 0.0)
@@ -171,14 +185,12 @@ class TestInitFrontData:
 
 class TestStep:
     def test_zero_equilibrium(self):
-        g = GridFunction(0.0, 0.05, np.zeros(200))
-        out = step(g, 0.0, 0.01)
-        assert np.all(out.values == 0.0)
+        out = Stepper(200, 0.05, 0.01).step_values(np.zeros(200))
+        assert np.all(out == 0.0)
 
     def test_one_equilibrium(self):
-        g = GridFunction(0.0, 0.05, np.ones(200))
-        out = step(g, 0.0, 0.01)
-        assert np.max(np.abs(out.values - 1.0)) <= 1e-12
+        out = Stepper(200, 0.05, 0.01).step_values(np.ones(200))
+        assert np.max(np.abs(out - 1.0)) <= 1e-12
 
     def test_small_constant_matches_logistic(self):
         # interior constant sees no diffusion or advection (the stencil is
@@ -186,20 +198,19 @@ class TestStep:
         # within 1e-6 of the exact logistic factor
         u0 = 1e-6
         dt = 1e-3
-        g = GridFunction(0.0, 0.05, np.full(600, u0))
-        out = step(g, 0.0, dt)
-        growth = out.values[300] / u0
+        u = np.full(600, u0)
+        out = Stepper(600, 0.05, dt).step_values(u)
+        growth = out[300] / u0
         logistic = math.exp(dt) / (1.0 + u0 * (math.exp(dt) - 1.0))
         assert abs(growth - logistic) <= 1e-6
-        coarse = step(g, 0.0, 1e-2).values[300] / u0
+        coarse = Stepper(600, 0.05, 1e-2).step_values(u)[300] / u0
         logistic_coarse = math.exp(1e-2) / (1.0 + u0 * (math.exp(1e-2) - 1.0))
         # defect shrinks like dt^2 under refinement
         assert abs(growth - logistic) <= 0.02 * abs(coarse - logistic_coarse)
 
     def test_instability_reported(self):
-        g = GridFunction(0.0, 0.05, np.full(100, 2.0))
         with pytest.raises(NumericsError, match="instability"):
-            step(g, 0.0, 0.01)
+            Stepper(100, 0.05, 0.01).step_values(np.full(100, 2.0))
 
     def test_nan_raises_in_step_values(self):
         # one NaN node would spread over the whole interior in one solve
@@ -207,12 +218,6 @@ class TestStep:
         u[100] = np.nan
         with pytest.raises(NumericsError, match="instability"):
             Stepper(200, 0.05, 0.01).step_values(u)
-
-    def test_nan_raises_in_step(self):
-        u = np.linspace(1.0, 0.0, 200)
-        u[100] = np.nan
-        with pytest.raises(NumericsError, match="instability"):
-            step(GridFunction(0.0, 0.05, u), 0.0, 0.01)
 
     def test_marginal_mode_exactly_stationary(self):
         # e^{-xi} data is a constant in the weighted field; the linear solve
@@ -366,8 +371,8 @@ class TestDiscreteResidual:
 
     def test_scheme_step_is_residual_free(self):
         cfg = small_config(t_end=20.0)
-        prev = init_front_data(cfg)
-        nxt = step(prev, 0.0, cfg.dt)
+        prev = plain_datum(cfg)
+        nxt = GridFunction(cfg.xi_min, cfg.dxi, config_stepper(cfg).step_values(prev.values))
         res = discrete_residual(prev, nxt, 0.0, cfg.dt)
         assert np.max(np.abs(res.values)) <= 1e-9
 
@@ -434,30 +439,30 @@ class TestComparisonPrinciple:
 
     def test_monotone_data_stays_monotone(self):
         cfg = small_config(k=0.0, t_end=5.0)
-        state = init_front_data(cfg)
-        assert np.all(np.diff(state.values) <= 1e-12)
+        stepper = config_stepper(cfg)
+        u = plain_datum(cfg).values
+        assert np.all(np.diff(u) <= 1e-12)
         for _ in range(500):
-            state = step(state, 0.0, cfg.dt)
-        assert np.all(np.diff(state.values) <= 1e-12)
+            u = stepper.step_values(u)
+        assert np.all(np.diff(u) <= 1e-12)
 
 
 class TestTranslationCovariance:
     def test_ten_cell_shift_moves_levels_exactly(self):
         cfg = small_config(k=0.0, t_end=20.0)
-        base = init_front_data(cfg)
-        shifted_vals = np.concatenate([np.ones(10), base.values[:-10]])
-        a = base
-        b = GridFunction(cfg.xi_min, cfg.dxi, shifted_vals)
+        stepper = config_stepper(cfg)
+        a = plain_datum(cfg).values
+        b = np.concatenate([np.ones(10), a[:-10]])
         out_times = (5.0, 10.0, 20.0)
         t = 0.0
         checks = 0
         while t < 20.0 - 1e-9:
-            a = step(a, t, cfg.dt)
-            b = step(b, t, cfg.dt)
+            a = stepper.step_values(a)
+            b = stepper.step_values(b)
             t += cfg.dt
             if any(abs(t - ot) < 1e-9 for ot in out_times):
-                xa = extract_level(a, t, 0.5)
-                xb = extract_level(b, t, 0.5)
+                xa = extract_level(GridFunction(cfg.xi_min, cfg.dxi, a), t, 0.5)
+                xb = extract_level(GridFunction(cfg.xi_min, cfg.dxi, b), t, 0.5)
                 np.testing.assert_allclose(xb - xa, 10 * cfg.dxi, atol=1e-9)
                 checks += 1
         assert checks == len(out_times)
@@ -492,6 +497,19 @@ class TestSimulate:
         assert np.all(np.abs(speeds - 2.0) < 0.2)
 
 
+class TestCsvExport:
+    def test_roundtrip_17_digits(self, tmp_path):
+        # the trace writer simulate's CLI output goes through
+        t = 1.2 ** np.arange(40)
+        trace = FrontTrace(times=t, positions=2.0 * t - 0.5 * np.log(t) + math.pi)
+        out = tmp_path / "level_0.5.csv"
+        trace.to_csv(out)
+        cols = read_csv_columns(out)
+        assert list(cols) == ["t", "x_m"]
+        np.testing.assert_array_equal(np.asarray(cols["t"]), trace.times)
+        np.testing.assert_array_equal(np.asarray(cols["x_m"]), trace.positions)
+
+
 class TestStepSchedule:
     def test_trace_times_are_the_exact_ladder(self):
         cfg = small_config(k=1.0, t_end=50.0)
@@ -505,10 +523,10 @@ class TestStepSchedule:
         # off every multiple of dt; up to ts the two runs stop at the same
         # times, so the snapshot is bit for bit the state at t_end = ts
         ts = 7.1234
-        snap = simulate(small_config(k=0.0, t_end=12.0, snapshot_times=(0.0, ts))).snapshots
+        cfg = small_config(k=0.0, t_end=12.0, snapshot_times=(0.0, ts))
+        snap = simulate(cfg).snapshots
         assert sorted(snap) == [0.0, ts]
-        np.testing.assert_allclose(snap[0.0].values, init_front_data(small_config(k=0.0)).values,
-                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(snap[0.0].values, plain_datum(cfg).values)
         direct = simulate(small_config(k=0.0, t_end=ts)).traces[0.5]
         assert direct.times[-1] == ts
         assert extract_level(snap[ts], ts, 0.5) == direct.positions[-1]

@@ -79,17 +79,20 @@ class TestWaveBConstant:
     def test_synthetic_exact_tail(self):
         dz = 1e-3
         z = 20.0 + dz * np.arange(int(round(30.0 / dz)) + 1)
-        profile = WaveProfile(z0=20.0, dz=dz, values=0.7 * z * np.exp(-z))
+        profile = WaveProfile(z0=20.0, dz=dz, values=0.7 * z * np.exp(-z),
+                              dvalues=0.7 * (1.0 - z) * np.exp(-z))
         np.testing.assert_allclose(wave_B_constant(profile), 0.7, atol=1e-10)
 
     def test_truncated_profile_reports_nonconvergence(self, wave):
         n_keep = int(round((15.0 - wave.z0) / wave.dz)) + 1
-        short = WaveProfile(z0=wave.z0, dz=wave.dz, values=wave.values[:n_keep])
+        short = WaveProfile(z0=wave.z0, dz=wave.dz, values=wave.values[:n_keep],
+                            dvalues=wave.dvalues[:n_keep])
         with pytest.raises(DomainError):
             wave_B_constant(short)  # does not even reach z = 40
         # a profile reaching z = 40 but fit over a still-drifting window
         n40 = int(round((41.0 - wave.z0) / wave.dz)) + 1
-        drifting = WaveProfile(z0=wave.z0, dz=wave.dz, values=wave.values[:n40])
+        drifting = WaveProfile(z0=wave.z0, dz=wave.dz, values=wave.values[:n40],
+                               dvalues=wave.dvalues[:n40])
         with pytest.raises(TailFitError):
             wave_B_constant(drifting)
 
@@ -142,17 +145,6 @@ class TestPhiGamma:
 
     def test_residual(self):
         assert ode_residual(phi_gamma(2.0)) <= 1e-8
-
-
-class TestCsvExport:
-    def test_roundtrip_17_digits(self, wave, tmp_path):
-        out = tmp_path / "wave.csv"
-        wave.to_csv(out)
-        from kppfront.io import read_csv_columns
-
-        cols = read_csv_columns(out)
-        assert list(cols) == ["z", "value"]
-        np.testing.assert_array_equal(np.asarray(cols["value"]), wave.values)
 
 
 class TestCachedProfilesReadOnly:
