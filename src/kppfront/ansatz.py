@@ -29,8 +29,7 @@ DELTA_SCAN_STEP = 1e-3
 # psi checks: t in [t0, T_MAX] (geometric), y = z / sqrt t in [0, Y_MAX]
 T_MAX = 1e6
 Y_MAX = 50.0
-DEFAULT_N_T = 60
-DEFAULT_N_Y = 200
+PSI_GRID = (60, 200)
 # shifted wave U(x - 2t + r ln(t + TW_T0)): t in [1, T_MAX], z in TW_Z_RANGE
 TW_T0 = 1.0
 TW_Z_RANGE = (-20.0, 40.0)
@@ -41,6 +40,7 @@ PHI_GRID = (24, 120)
 # critical checks: t up to CRITICAL_T_MAX, heat quadrature to heatkernel's VERIFY_TOL
 CRITICAL_T_MAX = 1e8
 CRITICAL_SUB_GRID = (10, 8)
+CRITICAL_SUPER_GRID = (8, 8)
 
 
 def psi_eval(r: float, r_prime: float, t: float, z: float) -> float:
@@ -79,22 +79,19 @@ def fd_residual(u, t: float, x: float, h_t: float, h_x: float, nonlinear: bool =
     return (4.0 * fine - coarse) / 3.0
 
 
-_DEFAULT_IDENTITY_SAMPLES = tuple(
+# (t, z) samples of the residual identity, clear of t = 0 and z = 0
+IDENTITY_SAMPLES = tuple(
     (t, z) for t in (2.5, 5.0, 10.0, 20.0, 50.0) for z in (0.5, 2.0, 5.0)
 )
 
 
-def check_linear_residual_identity(
-    r: float, r_prime: float, samples=_DEFAULT_IDENTITY_SAMPLES
-) -> VerificationReport:
+def check_linear_residual_identity(r: float, r_prime: float) -> VerificationReport:
     """Closed form of the linearized residual of the moving-frame ansatz,
         L u = r' e^{-z} t^{-(1 + r - r')} w'(z / sqrt t),
     against finite differences; relative mismatch must stay below 1e-4."""
     u = _moving_frame_ansatz(r, r_prime)
     worst = 0.0
-    for t, z in samples:
-        if t < 2.0:
-            raise DomainError("identity samples need t >= 2")
+    for t, z in IDENTITY_SAMPLES:
         x = z + 2.0 * t - r_prime * math.log(t)
         closed = r_prime * math.exp(-z) * t ** (-(1.0 + r - r_prime)) * w_prime_eval(r, z / math.sqrt(t))
         # the t-stencil moves z at rate ~2 through the frame drift, so h_t is
@@ -106,7 +103,7 @@ def check_linear_residual_identity(
         worst = max(worst, abs(fd - closed) / scale)
     return VerificationReport(
         name=f"linear_residual_identity_r{r:g}_rp{r_prime:g}",
-        domain={"samples": len(tuple(samples))},
+        domain={"samples": len(IDENTITY_SAMPLES)},
         worst_signed_residual=0.0,
         closed_form_mismatch=worst,
         verdict="pass" if worst <= 1e-4 else "fail",
@@ -167,7 +164,7 @@ def _psi_domain(t0: float, n_t: int, n_y: int) -> dict:
     return {"t": f"[{t0:g}, {T_MAX:g}]", "y": f"[0, {Y_MAX:g}]", "grid": f"{n_t}x{n_y}"}
 
 
-def check_supersolution(r: float, n_t: int = DEFAULT_N_T, n_y: int = DEFAULT_N_Y) -> VerificationReport:
+def check_supersolution(r: float) -> VerificationReport:
     """Sign certificate for the bracket
         (1 - M/sqrt t) r' w'(y) + (M/2) w(y),  y = z / sqrt t,
     which must be >= 0 for the damped psi ansatz to be a super-solution.
@@ -175,6 +172,7 @@ def check_supersolution(r: float, n_t: int = DEFAULT_N_T, n_y: int = DEFAULT_N_Y
     the report reads 0 and shows no margin, by construction."""
     consts = supersolution_constants(r)
     r_prime, M, t0 = consts["r_prime"], consts["M"], consts["t0"]
+    n_t, n_y = PSI_GRID
     ys = np.linspace(0.0, Y_MAX, n_y)
     w_arr = np.array([w_eval(r, y) for y in ys])
     wp_arr = np.array([w_prime_eval(r, y) for y in ys])
@@ -220,20 +218,15 @@ def subsolution_constants(r: float) -> dict:
     }
 
 
-def check_subsolution(r: float, n_t: int = DEFAULT_N_T, n_y: int = DEFAULT_N_Y,
-                      epsilon_scale: float = 1.0) -> VerificationReport:
+def check_subsolution(r: float) -> VerificationReport:
     """Sign certificate for the braced sub-solution expression
         -(M/2) w + (1 + M/sqrt t) [ r' w' + (1 + M/sqrt t) eps e^{-z} w^2 ],
-    z = y sqrt t, which must be <= 0.  Specs violating the epsilon bound are
-    rejected up front (the bound is a hard precondition of the construction)."""
+    z = y sqrt t, which must be <= 0.  The scan does not see the epsilon
+    bound: epsilon many times its bound still passes it, so the bound holds
+    only by construction (subsolution_constants sets epsilon to half of it)."""
     consts = subsolution_constants(r)
-    r_prime, M, t0 = consts["r_prime"], consts["M"], consts["t0"]
-    eps = consts["epsilon"] * epsilon_scale
-    if eps >= consts["epsilon_bound"]:
-        raise DomainError(
-            f"epsilon = {eps:.3e} violates the admissible bound "
-            f"{consts['epsilon_bound']:.3e} (zone z <= delta sqrt t fails)"
-        )
+    r_prime, M, eps, t0 = consts["r_prime"], consts["M"], consts["epsilon"], consts["t0"]
+    n_t, n_y = PSI_GRID
     ys = np.linspace(0.0, Y_MAX, n_y)
     w_arr = np.array([w_eval(r, y) for y in ys])
     wp_arr = np.array([w_prime_eval(r, y) for y in ys])
@@ -255,7 +248,7 @@ def check_subsolution(r: float, n_t: int = DEFAULT_N_T, n_y: int = DEFAULT_N_Y,
         domain=_psi_domain(t0, n_t, n_y),
         worst_signed_residual=worst,
         verdict=verdict,
-        details={**consts, "epsilon": eps, "worst_at": worst_at},
+        details={**consts, "worst_at": worst_at},
     )
 
 
@@ -336,7 +329,7 @@ def check_phi_eta_sub(r: float) -> VerificationReport:
 
 def critical_sub_constants() -> dict:
     """Auto-size M = 8 sup e^{-z} v (t+1)^{5/4} and pick delta with
-    delta (1+M)^2 < 1."""
+    delta (1+M)^2 = 1/2."""
     sup = 0.0
     for t in np.geomspace(1.0, 1e8, 9):
         for z in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
@@ -347,15 +340,13 @@ def critical_sub_constants() -> dict:
     return {"M": M, "delta": delta, "sup_weighted_v": sup}
 
 
-def check_critical_sub(M: float | None = None, delta: float | None = None) -> VerificationReport:
+def check_critical_sub() -> VerificationReport:
     """Critical-case sub-solution bracket
-        e^{-z} v(t, z) - M / (4 (t+1)^{5/4}) <= 0,
-    with the side condition delta (1 + M)^2 < 1."""
+        e^{-z} v(t, z) - M / (4 (t+1)^{5/4}) <= 0.
+    The side condition delta (1 + M)^2 < 1 holds by construction:
+    critical_sub_constants sets the product to 1/2."""
     consts = critical_sub_constants()
-    M = consts["M"] if M is None else M
-    delta = consts["delta"] if delta is None else delta
-    if not delta * (1.0 + M) ** 2 < 1.0:
-        raise DomainError(f"delta (1+M)^2 = {delta * (1 + M) ** 2:.3f} must be < 1")
+    M, delta = consts["M"], consts["delta"]
     n_t, n_z = CRITICAL_SUB_GRID
 
     def signed_at(t):
@@ -377,18 +368,14 @@ def check_critical_sub(M: float | None = None, delta: float | None = None) -> Ve
     )
 
 
-def check_critical_super(M: float | None = None, t_range: tuple[float, float] | None = None,
-                         n_t: int = 8, n_y: int = 8) -> VerificationReport:
+def check_critical_super() -> VerificationReport:
     """Critical-case super-solution residual
         (3/(2t) - 1/(t ln t)) dx v + (M / (4 t^{5/4})) (1 - M/t^{1/4})^{-1} v >= 0
-    with M sized from the empirical gradient-bound constant."""
-    if M is None:
-        M = 8.0 * heatkernel.gradient_bound_constant()[0]
+    on t in [t0, CRITICAL_T_MAX], with M sized from the empirical
+    gradient-bound constant."""
+    M = 8.0 * heatkernel.gradient_bound_constant()[0]
     t0 = max((2.0 * M) ** 4, 1e3)
-    if t_range is None:
-        t_range = (t0, CRITICAL_T_MAX)
-    if t_range[0] < t0 - 1e-9:
-        raise DomainError(f"t range must start at or after t0 = {t0:g}")
+    n_t, n_y = CRITICAL_SUPER_GRID
     ys = np.linspace(0.1, 2.0, n_y)
 
     def signed_at(t):
@@ -402,10 +389,10 @@ def check_critical_super(M: float | None = None, t_range: tuple[float, float] | 
             signed.append((a + b) / max(abs(a) + abs(b), 1e-300))
         return signed, zs
 
-    worst, worst_at, verdict = _sign_scan(_t_grid(t_range[0], t_range[1], n_t), signed_at, "super")
+    worst, worst_at, verdict = _sign_scan(_t_grid(t0, CRITICAL_T_MAX, n_t), signed_at, "super")
     return VerificationReport(
         name="dirichlet_super_critical",
-        domain={"t": f"[{t_range[0]:g}, {t_range[1]:g}]", "z": "y sqrt(t), y in [0.1, 2]",
+        domain={"t": f"[{t0:g}, {CRITICAL_T_MAX:g}]", "z": "y sqrt(t), y in [0.1, 2]",
                 "grid": f"{n_t}x{n_y}"},
         worst_signed_residual=worst,
         verdict=verdict,

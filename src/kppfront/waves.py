@@ -26,9 +26,11 @@ _START_AMPLITUDE = 1e-8
 
 TAIL_WINDOW = 10.0
 TAIL_SPREAD_TOL = 0.02
-# Extent and step of the phi_gamma samples.
-PHI_Z_MAX = 55.0
-PHI_DZ = 1e-3
+# Right end and step of both profiles' samples; the minimal wave starts at
+# WAVE_Z_MIN, phi_gamma at 0.
+PROFILE_Z_MAX = 55.0
+PROFILE_DZ = 1e-3
+WAVE_Z_MIN = -30.0
 
 
 @dataclass
@@ -149,17 +151,16 @@ def _finished(profile: WaveProfile) -> WaveProfile:
     return profile
 
 
-@lru_cache(maxsize=16)
-def minimal_wave(z_min: float = -30.0, z_max: float = 55.0, dz: float = 1e-3) -> WaveProfile:
+@lru_cache(maxsize=1)
+def minimal_wave() -> WaveProfile:
     """Minimal-speed wave, translated so U(0) = 1/2.
 
     Integrates forward from the unstable manifold of u = 1 (no shooting
     parameter: the orbit is unique up to translation), then re-launches with a
     rescaled start amplitude until the 1/2-crossing lands on z = 0.
     """
-    if z_min > -20.0 or z_max < 40.0 or dz > 1e-3:
-        raise DomainError("need z_min <= -20, z_max >= 40, dz <= 1e-3")
-    n = int(round((z_max - z_min) / dz))
+    z_min, dz = WAVE_Z_MIN, PROFILE_DZ
+    n = int(round((PROFILE_Z_MAX - z_min) / dz))
     z = z_min + dz * np.arange(n + 1)
     delta = _START_AMPLITUDE
     crossing = math.inf
@@ -191,8 +192,8 @@ def phi_gamma(gamma: float) -> WaveProfile:
     """
     if not gamma > 1.0:
         raise DomainError("phi_gamma requires gamma > 1")
-    n = int(round(PHI_Z_MAX / PHI_DZ))
-    vals, dvals = _rk4_wave(0.5 / gamma, 0.0, n, PHI_DZ, gamma)
+    n = int(round(PROFILE_Z_MAX / PROFILE_DZ))
+    vals, dvals = _rk4_wave(0.5 / gamma, 0.0, n, PROFILE_DZ, gamma)
     if vals.min() <= 0.0:
         raise NumericsError("phi left (0, 1/gamma); refine dz")
     if np.any(dvals[1:] >= 0.0):
@@ -201,7 +202,7 @@ def phi_gamma(gamma: float) -> WaveProfile:
     if np.any(logslope < -1.0 - 1e-12):
         raise NumericsError("phi'/phi dropped below -1: integration error")
     return _finished(
-        WaveProfile(z0=0.0, dz=PHI_DZ, values=vals, gamma=gamma, dvalues=dvals)
+        WaveProfile(z0=0.0, dz=PROFILE_DZ, values=vals, gamma=gamma, dvalues=dvals)
     )
 
 

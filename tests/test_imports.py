@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, no
-module keeps a cache other than the two wave-profile builds, and the
-package exports exactly the names its __init__ imports.
+module keeps a cache other than the two wave-profile builds, the package
+exports exactly the names its __init__ imports, and no certificate takes a
+parameter with a default.
 
 The package's __init__ imports names only to re-export them, so it is
 exempt from the unused-import check.  Uses are found with the stdlib ast
@@ -10,12 +11,14 @@ the module, annotations included.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import kppfront
+from kppfront import ansatz, heatkernel, waves
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kppfront"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -65,3 +68,17 @@ def test_only_the_wave_profiles_are_cached():
     cached = {f"{obj.__module__}.{obj.__qualname__}" for mod in modules
               for obj in vars(mod).values() if hasattr(obj, "cache_clear")}
     assert cached == {"kppfront.waves.minimal_wave", "kppfront.waves.phi_gamma"}
+
+
+def test_certificates_take_no_defaulted_parameters():
+    # a certificate takes only what its verify row names (r, k, t, eps);
+    # grids, sample sets and constants live in module constants, which tests
+    # patch, so a defaulted knob that only a test sets cannot creep back
+    certificates = ([f for name, f in vars(ansatz).items() if name.startswith("check_")]
+                    + [f for name, f in vars(heatkernel).items() if name.startswith("verify_")]
+                    + [heatkernel.gradient_bound_constant, waves.minimal_wave])
+    assert len(certificates) == 11
+    defaulted = [f"{f.__name__}({p.name})" for f in certificates
+                 for p in inspect.signature(f).parameters.values()
+                 if p.default is not inspect.Parameter.empty]
+    assert defaulted == []

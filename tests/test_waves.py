@@ -13,6 +13,7 @@ from kppfront import (
     ode_residual,
     phi_gamma,
     wave_B_constant,
+    waves,
 )
 from kppfront.waves import WaveProfile, _rk4_wave
 
@@ -20,6 +21,22 @@ from kppfront.waves import WaveProfile, _rk4_wave
 @pytest.fixture(scope="module")
 def wave():
     return minimal_wave()
+
+
+@pytest.fixture()
+def rebuilt_wave(monkeypatch, wave):
+    """Build the minimal wave again from patched module constants.  The cache
+    is cleared before and after, so the patched profile never reaches a later
+    caller and the production one is never handed back here."""
+
+    def build(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(waves, name, value)
+        minimal_wave.cache_clear()
+        return minimal_wave()
+
+    yield build
+    minimal_wave.cache_clear()
 
 
 class TestMinimalWave:
@@ -53,8 +70,8 @@ class TestMinimalWave:
         assert math.isfinite(wave.B)
         assert wave.B > 0.0
 
-    def test_translation_consistency(self, wave):
-        other = minimal_wave(z_min=-25.0)
+    def test_translation_consistency(self, wave, rebuilt_wave):
+        other = rebuilt_wave(WAVE_Z_MIN=-25.0)
         # both recentered on the 1/2-crossing; compare on the common grid
         offset = int(round((other.z0 - wave.z0) / wave.dz))
         a = wave.values[offset:]
@@ -62,17 +79,9 @@ class TestMinimalWave:
         assert a.size == b.size
         assert np.max(np.abs(a - b)) <= 1e-8
 
-    def test_B_insensitive_to_dz(self, wave):
-        finer = minimal_wave(z_min=-30.0, z_max=55.0, dz=5e-4)
+    def test_B_insensitive_to_dz(self, wave, rebuilt_wave):
+        finer = rebuilt_wave(PROFILE_DZ=5e-4)
         assert abs(finer.B - wave.B) / wave.B <= 1e-3
-
-    def test_preconditions(self):
-        with pytest.raises(DomainError):
-            minimal_wave(z_min=-10.0)
-        with pytest.raises(DomainError):
-            minimal_wave(z_max=30.0)
-        with pytest.raises(DomainError):
-            minimal_wave(dz=0.01)
 
 
 class TestWaveBConstant:
