@@ -113,14 +113,14 @@ def check_linear_residual_identity(r: float, r_prime: float) -> VerificationRepo
 
 def _scan_delta(r: float, threshold: float) -> float:
     """Largest y <= 1 with w' above `threshold` on [0, y), scanned at 1e-3."""
+    ys = []
     y = DELTA_SCAN_STEP
-    delta = DELTA_SCAN_STEP
-    while y <= 1.0 + 1e-12:
-        if w_prime_eval(r, y) <= threshold:
-            break
-        delta = y
+    while y <= 1.0 + 1e-12:  # repeated addition: np.arange's i * step differs in the last bits
+        ys.append(y)
         y += DELTA_SCAN_STEP
-    return delta
+    below = np.nonzero(w_prime_eval(r, np.array(ys)) <= threshold)[0]
+    first = int(below[0]) if below.size else len(ys)
+    return ys[max(first - 1, 0)]
 
 
 def _t_grid(t0: float, t_max: float, n_t: int) -> np.ndarray:
@@ -154,7 +154,7 @@ def supersolution_constants(r: float) -> dict:
         return {"r": r, "r_prime": 0.0, "delta": math.nan, "M": 0.0, "t0": 4.0}
     delta = _scan_delta(r, 0.0)
     ys = np.arange(delta, Y_MAX + 1e-9, 1e-2)
-    ratio = max(2.0 * r * abs(w_prime_eval(r, y)) / w_eval(r, y) for y in ys)
+    ratio = float(np.max(2.0 * r * np.abs(w_prime_eval(r, ys)) / w_eval(r, ys)))
     M = SAFETY * ratio
     t0 = max((2.0 * M) ** 2, 4.0)
     return {"r": r, "r_prime": r, "delta": delta, "M": M, "t0": t0}
@@ -174,8 +174,8 @@ def check_supersolution(r: float) -> VerificationReport:
     r_prime, M, t0 = consts["r_prime"], consts["M"], consts["t0"]
     n_t, n_y = PSI_GRID
     ys = np.linspace(0.0, Y_MAX, n_y)
-    w_arr = np.array([w_eval(r, y) for y in ys])
-    wp_arr = np.array([w_prime_eval(r, y) for y in ys])
+    w_arr = w_eval(r, ys)
+    wp_arr = w_prime_eval(r, ys)
     scale = np.maximum(abs(r_prime) * np.abs(wp_arr) + 0.5 * M * w_arr, 1e-300)
 
     def signed_at(t):
@@ -198,15 +198,15 @@ def subsolution_constants(r: float) -> dict:
     delta = _scan_delta(r, 0.5)
     k = 1.0 - 2.0 * r
     ys = np.arange(delta, Y_MAX + 1e-9, 1e-2)
-    w_vals = np.array([w_eval(r, y) for y in ys])
-    wp_vals = np.array([w_prime_eval(r, y) for y in ys])
+    w_vals = w_eval(r, ys)
+    wp_vals = w_prime_eval(r, ys)
     m_quoted = max(
         float(np.max(8.0 * abs(r_prime) * np.abs(wp_vals) / w_vals)),
         float(np.max(w_vals / ys**k)),
     )
     M = SAFETY * m_quoted
     ys0 = np.arange(0.0, delta + 1e-12, DELTA_SCAN_STEP)
-    w2max = max(w_eval(r, y) for y in ys0) ** 2
+    w2max = float(np.max(w_eval(r, ys0))) ** 2
     eps_bound = -r_prime / (2.0 * (1.0 + M) * w2max)
     eps = 0.5 * eps_bound
     w_max = float(np.max(w_vals))
@@ -228,8 +228,8 @@ def check_subsolution(r: float) -> VerificationReport:
     r_prime, M, eps, t0 = consts["r_prime"], consts["M"], consts["epsilon"], consts["t0"]
     n_t, n_y = PSI_GRID
     ys = np.linspace(0.0, Y_MAX, n_y)
-    w_arr = np.array([w_eval(r, y) for y in ys])
-    wp_arr = np.array([w_prime_eval(r, y) for y in ys])
+    w_arr = w_eval(r, ys)
+    wp_arr = w_prime_eval(r, ys)
 
     def signed_at(t):
         damp = 1.0 + M / math.sqrt(t)

@@ -6,6 +6,11 @@ psi(z) = 1F1((3-2r)/2, 3/2, z): the power series of 1F1 below CROSSOVER_Z,
 above it the large-z expansion with e^{-z} 1F1 combined analytically into
 w_asymptotic_constant y^(1-2r) S(z).  An explicit fixed-step 4th-order
 integrator of the same Cauchy problem serves as the independent oracle.
+
+w_eval and w_prime_eval take a float y, and return a float, or an array of
+y, evaluated elementwise: both series run along a term axis for all points
+at once, each point stopping at its own term, so every element is bit for
+bit the one-point value.
 """
 
 from __future__ import annotations
@@ -24,39 +29,109 @@ CROSSOVER_Z = 30.0
 _EPS = 1e-17
 # Terms before kummer_1f1_series gives up; z = CROSSOVER_Z takes about 90.
 SERIES_MAX_TERMS = 500
+# Terms in the first pass over the term axis (later passes double it); a
+# point leaves the working set after the pass in which it stops.
+_TERM_BLOCK = 16
 
 
-def kummer_1f1_series(a: float, b: float, z: float) -> float:
-    """Power series for 1F1(a, b, z); converges for all z, efficient for z < ~40."""
-    term = 1.0
-    total = 1.0
-    for n in range(SERIES_MAX_TERMS):
-        term *= (a + n) / (b + n) * z / (n + 1)
-        total += term
-        if abs(term) <= _EPS * abs(total) and n > 3:
-            return total
-        if term == 0.0:
-            return total
-    raise DomainError(f"1F1 series did not converge for a={a}, b={b}, z={z}")
+def _shaped(values: np.ndarray, like: np.ndarray):
+    """`values` in the shape of `like`; a float for a 0-d `like`."""
+    return float(values[0]) if like.ndim == 0 else values.reshape(like.shape)
 
 
-def _asymptotic_tail(a: float, b: float, z: float) -> float:
-    """S(z) with 1F1(a,b,z) ~ Gamma(b)/Gamma(a) e^z z^(a-b) S(z) as z -> +inf.
+# exp and the power are taken per element as Python floats: numpy's vectorised
+# exp and power differ from libm in the last ulp on some CPUs, and each element
+# of w and w' must equal its one-point evaluation.
+def _exp_neg(z: np.ndarray) -> np.ndarray:
+    return np.array([math.exp(-v) for v in z.tolist()])
 
-    S(z) = sum_n (b-a)_n (1-a)_n / (n! z^n), truncated at the smallest term.
+
+def _pow(y: np.ndarray, p: float) -> np.ndarray:
+    return np.array([v ** p for v in y.tolist()])
+
+
+def _running_sums(factors: np.ndarray, term: np.ndarray, total: np.ndarray):
+    """Continue the sums of a series from its last (term, total), one row of
+    `factors` per term: the sequential products and sums of
+    `term *= f; total += term`, so every partial sum is that of a one-point
+    loop, overflow to inf included.  Returns the terms and the partial sums,
+    sums[0] = total and sums[k + 1] the sum through terms[k].  `factors` is
+    overwritten."""
+    factors[0] *= term
+    with np.errstate(over="ignore"):
+        terms = np.multiply.accumulate(factors, axis=0)
+        return terms, np.add.accumulate(np.concatenate((total[None], terms)), axis=0)
+
+
+def _settle(out, live, stop, sums, dropped=None) -> np.ndarray:
+    """Write into out[live] each point's partial sum at its first `stop` row:
+    the sum through that term, or before it where `dropped` marks the term.
+    Returns the mask of live points that did not stop."""
+    hit = stop.any(axis=0)
+    cols = np.nonzero(hit)[0]
+    rows = stop.argmax(axis=0)[cols]
+    if dropped is not None:
+        rows = rows - dropped[rows, cols]
+    out[live[cols]] = sums[rows + 1, cols]
+    return ~hit
+
+
+def _term_blocks(n_terms: int):
+    """Indices of the first n_terms terms as columns, one per pass:
+    _TERM_BLOCK terms, then twice as many as the pass before."""
+    start, size = 0, _TERM_BLOCK
+    while start < n_terms:
+        yield np.arange(start, min(start + size, n_terms), dtype=float)[:, None]
+        start += size
+        size *= 2
+
+
+def kummer_1f1_series(a: float, b: float, z):
+    """Power series for 1F1(a, b, z), elementwise over a float or array z;
+    converges for all z, efficient for z < ~40.  Each point stops at its own
+    term; the points still summing get the next block of terms."""
+    zs = np.asarray(z, dtype=float)
+    flat = zs.ravel()
+    out = np.empty(flat.size)
+    live = np.arange(flat.size)
+    term = total = np.ones(flat.size)
+    for n in _term_blocks(SERIES_MAX_TERMS):
+        if live.size == 0:
+            break
+        terms, sums = _running_sums((a + n) / (b + n) * flat[live] / (n + 1), term, total)
+        stop = (np.abs(terms) <= _EPS * np.abs(sums[1:])) & (n > 3) | (terms == 0.0)
+        going = _settle(out, live, stop, sums)
+        live, term, total = live[going], terms[-1, going], sums[-1, going]
+    if live.size:
+        raise DomainError(f"1F1 series did not converge for a={a}, b={b}, z={flat[live[0]]}")
+    return _shaped(out, zs)
+
+
+def _asymptotic_tail(a: float, b: float, z):
+    """S(z) with 1F1(a,b,z) ~ Gamma(b)/Gamma(a) e^z z^(a-b) S(z) as z -> +inf,
+    elementwise over a float or array z > 0.
+
+    S(z) = sum_n (b-a)_n (1-a)_n / (n! z^n) over n < int(z) + 2, stopped
+    before the first term that does not shrink (the divergent tail), or after
+    the first one below _EPS of the sum.
     """
-    term = 1.0
-    total = 1.0
-    prev = math.inf
-    for n in range(int(z) + 2):
-        term *= (b - a + n) * (1.0 - a + n) / ((n + 1) * z)
-        if abs(term) >= prev:  # divergent tail reached; stop at smallest term
+    zs = np.asarray(z, dtype=float)
+    flat = zs.ravel()
+    out = np.empty(flat.size)
+    live = np.arange(flat.size)
+    last_n = flat.astype(int) + 1
+    term = total = np.ones(flat.size)
+    prev = np.full(flat.size, math.inf)
+    for n in _term_blocks(last_n.max(initial=-1) + 1):
+        if live.size == 0:
             break
-        total += term
-        prev = abs(term)
-        if abs(term) <= _EPS * abs(total):
-            break
-    return total
+        terms, sums = _running_sums((b - a + n) * (1.0 - a + n) / ((n + 1) * flat[live]), term, total)
+        size = np.abs(terms)
+        grew = size >= np.concatenate((prev[None], size[:-1]))
+        stop = grew | (size <= _EPS * np.abs(sums[1:])) | (n == last_n[live])
+        going = _settle(out, live, stop, sums, dropped=grew)
+        live, term, total, prev = live[going], terms[-1, going], sums[-1, going], size[-1, going]
+    return _shaped(out, zs)
 
 
 def _check_r(r: float) -> None:
@@ -72,42 +147,54 @@ def w_asymptotic_constant(r: float) -> float:
     return 4.0 ** r * math.gamma(1.5) / math.gamma(1.5 - r)
 
 
-def w_eval(r: float, y: float) -> float:
-    """Self-similar profile w(y; r) for r <= 3/2, y >= 0."""
+def _profile_args(r: float, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """After the domain checks: y as an array (the shape of the result), and
+    y and z = y^2/4 flattened."""
     _check_r(r)
-    if y < 0.0:
-        raise DomainError("w is defined on y >= 0")
-    if y == 0.0:
-        return 0.0
-    z = 0.25 * y * y
+    ys = np.asarray(y, dtype=float)
+    if not np.all((ys >= 0.0) & (ys < math.inf)):
+        raise DomainError("w is defined on finite y >= 0")
+    flat = ys.ravel()
+    return ys, flat, 0.25 * flat * flat
+
+
+def w_eval(r: float, y):
+    """Self-similar profile w(y; r) for r <= 3/2, elementwise over a float or
+    array y >= 0; a float y gives a float."""
+    ys, y, z = _profile_args(r, y)
     if r == 1.5:
-        return y * math.exp(-z)
+        return _shaped(y * _exp_neg(z), ys)
     a = 1.5 - r
-    if z < CROSSOVER_Z:
-        return y * math.exp(-z) * kummer_1f1_series(a, 1.5, z)
+    out = np.empty(y.size)
+    lo = z < CROSSOVER_Z
+    hi = ~lo
+    out[lo] = y[lo] * _exp_neg(z[lo]) * kummer_1f1_series(a, 1.5, z[lo])
     # exp(-z) * 1F1 combined analytically: no overflow however large y gets
-    return w_asymptotic_constant(r) * y ** (1.0 - 2.0 * r) * _asymptotic_tail(a, 1.5, z)
+    out[hi] = (w_asymptotic_constant(r) * _pow(y[hi], 1.0 - 2.0 * r)
+               * _asymptotic_tail(a, 1.5, z[hi]))
+    return _shaped(out, ys)
 
 
-def w_prime_eval(r: float, y: float) -> float:
-    """w'(y; r), differentiating the product form; w'(0) = 1 exactly."""
-    _check_r(r)
-    if y < 0.0:
-        raise DomainError("w is defined on y >= 0")
-    if y == 0.0:
-        return 1.0
-    z = 0.25 * y * y
+def w_prime_eval(r: float, y):
+    """w'(y; r), differentiating the product form, elementwise like w_eval;
+    w'(0) = 1 exactly."""
+    ys, y, z = _profile_args(r, y)
     if r == 1.5:
-        return (1.0 - 2.0 * z) * math.exp(-z)
+        return _shaped((1.0 - 2.0 * z) * _exp_neg(z), ys)
     a = 1.5 - r
-    if z < CROSSOVER_Z:
-        psi = kummer_1f1_series(a, 1.5, z)
-        dpsi = (a / 1.5) * kummer_1f1_series(a + 1.0, 2.5, z)
-        return math.exp(-z) * ((1.0 - 2.0 * z) * psi + 2.0 * z * dpsi)
-    s0 = _asymptotic_tail(a, 1.5, z)
-    s1 = _asymptotic_tail(a + 1.0, 2.5, z)
-    bracket = s0 + 2.0 * z * (s1 - s0)
-    return w_asymptotic_constant(r) * y ** (-2.0 * r) * bracket
+    out = np.empty(y.size)
+    lo = z < CROSSOVER_Z
+    hi = ~lo
+    zl = z[lo]
+    psi = kummer_1f1_series(a, 1.5, zl)
+    dpsi = (a / 1.5) * kummer_1f1_series(a + 1.0, 2.5, zl)
+    out[lo] = _exp_neg(zl) * ((1.0 - 2.0 * zl) * psi + 2.0 * zl * dpsi)
+    zh = z[hi]
+    s0 = _asymptotic_tail(a, 1.5, zh)
+    s1 = _asymptotic_tail(a + 1.0, 2.5, zh)
+    bracket = s0 + 2.0 * zh * (s1 - s0)
+    out[hi] = w_asymptotic_constant(r) * _pow(y[hi], -2.0 * r) * bracket
+    return _shaped(out, ys)
 
 
 def w_ode_oracle(r: float, y_max: float, n: int) -> GridFunction:

@@ -157,14 +157,13 @@ def minimal_wave() -> WaveProfile:
 
     Integrates forward from the unstable manifold of u = 1 (no shooting
     parameter: the orbit is unique up to translation), then re-launches with a
-    rescaled start amplitude until the 1/2-crossing lands on z = 0.
+    rescaled start amplitude until the 1/2-crossing lies within 1e-9 of
+    z = 0 (three launches).
     """
     z_min, dz = WAVE_Z_MIN, PROFILE_DZ
     n = int(round((PROFILE_Z_MAX - z_min) / dz))
     z = z_min + dz * np.arange(n + 1)
     delta = _START_AMPLITUDE
-    crossing = math.inf
-    vals = dvals = None
     for _ in range(6):
         u0 = 1.0 - delta + _C2 * delta * delta
         up0 = -MU_UNSTABLE * delta + 2.0 * MU_UNSTABLE * _C2 * delta * delta
@@ -176,10 +175,12 @@ def minimal_wave() -> WaveProfile:
             raise NumericsError("1/2-crossing not bracketed on the grid")
         i = above[-1]
         crossing = z[i] + dz * (0.5 - vals[i]) / (vals[i + 1] - vals[i])
-        if abs(crossing) < 1e-12:
+        # read off a linear interpolant of the samples, the crossing stalls
+        # at about 1e-10 and only changes sign on further re-launches
+        if abs(crossing) <= 1e-9:
             break
         delta *= math.exp(MU_UNSTABLE * crossing)
-    if abs(crossing) > 1e-9:
+    else:
         raise NumericsError(f"crossing recentering stalled at {crossing:.3e}")
     return _finished(WaveProfile(z0=z_min, dz=dz, values=vals, dvalues=dvals))
 

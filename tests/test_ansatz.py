@@ -172,6 +172,71 @@ class TestSubsolution:
             assert abs(fd - closed) <= 1e-4 * max(abs(closed), 1e-2 * abs(u(t, x)))
 
 
+def _scan_delta_stepped(r, threshold):
+    """The stepped scan _scan_delta vectorises: one w' call per y."""
+    y = ansatz.DELTA_SCAN_STEP
+    delta = ansatz.DELTA_SCAN_STEP
+    while y <= 1.0 + 1e-12:
+        if w_prime_eval(r, y) <= threshold:
+            break
+        delta = y
+        y += ansatz.DELTA_SCAN_STEP
+    return delta
+
+
+def _supersolution_constants_pointwise(r):
+    if r <= 0.0:
+        return {"r": r, "r_prime": 0.0, "delta": math.nan, "M": 0.0, "t0": 4.0}
+    delta = _scan_delta_stepped(r, 0.0)
+    ys = np.arange(delta, ansatz.Y_MAX + 1e-9, 1e-2)
+    ratio = max(2.0 * r * abs(w_prime_eval(r, y)) / w_eval(r, y) for y in ys)
+    M = ansatz.SAFETY * ratio
+    return {"r": r, "r_prime": r, "delta": delta, "M": M, "t0": max((2.0 * M) ** 2, 4.0)}
+
+
+def _subsolution_constants_pointwise(r):
+    r_prime = r - 2.0
+    delta = _scan_delta_stepped(r, 0.5)
+    ys = np.arange(delta, ansatz.Y_MAX + 1e-9, 1e-2)
+    w_vals = np.array([w_eval(r, y) for y in ys])
+    wp_vals = np.array([w_prime_eval(r, y) for y in ys])
+    m_quoted = max(
+        float(np.max(8.0 * abs(r_prime) * np.abs(wp_vals) / w_vals)),
+        float(np.max(w_vals / ys ** (1.0 - 2.0 * r))),
+    )
+    M = ansatz.SAFETY * m_quoted
+    ys0 = np.arange(0.0, delta + 1e-12, ansatz.DELTA_SCAN_STEP)
+    eps_bound = -r_prime / (2.0 * (1.0 + M) * max(w_eval(r, y) for y in ys0) ** 2)
+    eps = 0.5 * eps_bound
+    t_tail = (max(0.0, math.log(32.0 * eps * float(np.max(w_vals)) / M)) / delta) ** 2
+    return {"r": r, "r_prime": r_prime, "delta": delta, "M": M, "epsilon": eps,
+            "epsilon_bound": eps_bound, "t0": max(M * M, 4.0, t_tail)}
+
+
+class TestGridEvaluation:
+    """The psi certificates evaluate w and w' once per grid; the constants
+    they derive equal those of one evaluation per point, value for value."""
+
+    @pytest.mark.parametrize("r", R_SET)
+    def test_constants_match_pointwise_evaluation(self, r):
+        for got, want in ((supersolution_constants(r), _supersolution_constants_pointwise(r)),
+                          (subsolution_constants(r), _subsolution_constants_pointwise(r))):
+            assert list(got) == list(want)
+            np.testing.assert_equal(got, want)
+
+    @pytest.mark.parametrize("check", [check_supersolution, check_subsolution])
+    def test_at_most_eight_profile_calls(self, monkeypatch, check):
+        calls = []
+        for name in ("w_eval", "w_prime_eval"):
+            def counted(r, y, f=getattr(ansatz, name)):
+                calls.append(np.size(y))
+                return f(r, y)
+
+            monkeypatch.setattr(ansatz, name, counted)
+        assert check(0.5).passed
+        assert len(calls) <= 8
+
+
 class TestTwShift:
     def test_k_one_is_neutral(self):
         rep = check_tw_shift(1.0)

@@ -9,12 +9,13 @@ import pytest
 
 from kppfront import (
     DomainError,
+    ansatz,
     w_asymptotic_constant,
     w_eval,
     w_ode_oracle,
     w_prime_eval,
 )
-from kppfront.special import CROSSOVER_Z, kummer_1f1_series
+from kppfront.special import CROSSOVER_Z, _asymptotic_tail, kummer_1f1_series
 
 R_FAMILY = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.25)
 
@@ -151,6 +152,82 @@ class TestProfileWPrime:
     def test_log_slope_vanishes_far_out(self, r):
         y = 100.0
         assert abs(w_prime_eval(r, y) / w_eval(r, y)) <= 0.05
+
+
+def series_one_point(a, b, z):
+    """One-point loop of the 1F1 power series: each element of the array
+    route must stop at the same term and give the same sum."""
+    term = total = 1.0
+    n = 0
+    while True:
+        term *= (a + n) / (b + n) * z / (n + 1)
+        total += term
+        if (abs(term) <= 1e-17 * abs(total) and n > 3) or term == 0.0:
+            return total
+        n += 1
+
+
+def tail_one_point(a, b, z):
+    """One-point loop of the asymptotic tail S(z), truncated at its smallest term."""
+    term = total = 1.0
+    prev = math.inf
+    for n in range(int(z) + 2):
+        term *= (b - a + n) * (1.0 - a + n) / ((n + 1) * z)
+        if abs(term) >= prev:
+            break
+        total += term
+        prev = abs(term)
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return total
+
+
+class TestArrayRoute:
+    """w_eval and w_prime_eval take a float or an array; every element equals
+    the one-point evaluation bit for bit."""
+
+    Y_CROSS = 2.0 * math.sqrt(CROSSOVER_Z)
+    GRIDS = {
+        "psi_grid": np.linspace(0.0, ansatz.Y_MAX, ansatz.PSI_GRID[1]),
+        "constants_grid": np.arange(ansatz.DELTA_SCAN_STEP, ansatz.Y_MAX + 1e-9, 1e-2),
+        "crossover_window": Y_CROSS + np.linspace(-1e-3, 1e-3, 401),
+        "ends": np.array([0.0, 1e4]),
+    }
+
+    @pytest.mark.parametrize("r", R_FAMILY + (1.5,))
+    @pytest.mark.parametrize("f", [w_eval, w_prime_eval])
+    def test_elementwise_identical(self, f, r):
+        for name, ys in self.GRIDS.items():
+            got = f(r, ys)
+            want = np.array([f(r, float(y)) for y in ys])
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("a, b", [(0.5, 1.5), (2.5, 2.5), (-0.25, 1.5), (-2.0, 1.5)])
+    def test_recurrences_match_one_point_loops(self, a, b):
+        zs = np.linspace(0.0, 40.0, 801)
+        assert kummer_1f1_series(a, b, zs).tobytes() == \
+            np.array([series_one_point(a, b, z) for z in zs.tolist()]).tobytes()
+        zs = np.concatenate([np.linspace(CROSSOVER_Z, 700.0, 801), [2.5e7]])
+        assert _asymptotic_tail(a, b, zs).tobytes() == \
+            np.array([tail_one_point(a, b, z) for z in zs.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("r", [0.5, 1.5])
+    @pytest.mark.parametrize("y", [0.0, 1.0, 100.0])
+    def test_float_in_float_out(self, r, y):
+        assert type(w_eval(r, y)) is float
+        assert type(w_prime_eval(r, y)) is float
+
+    def test_array_shape_kept(self):
+        ys = np.linspace(0.0, 20.0, 12).reshape(3, 4)
+        assert w_eval(0.5, ys).shape == (3, 4)
+        assert w_prime_eval(0.5, ys).shape == (3, 4)
+
+    def test_domain_checked_per_element(self):
+        for bad in (-1e-3, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                w_eval(0.5, np.array([1.0, bad]))
+            with pytest.raises(DomainError):
+                w_prime_eval(0.5, bad)
 
 
 class TestOdeOracle:

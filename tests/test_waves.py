@@ -83,6 +83,18 @@ class TestMinimalWave:
         finer = rebuilt_wave(PROFILE_DZ=5e-4)
         assert abs(finer.B - wave.B) / wave.B <= 1e-3
 
+    def test_recentring_stops_within_three_launches(self, rebuilt_wave):
+        # the crossing reaches the 1e-9 bound on the third launch and only
+        # changes sign about the interpolation floor after that
+        launches = []
+
+        def counted(*args):
+            launches.append(args)
+            return _rk4_wave(*args)
+
+        assert abs(rebuilt_wave(_rk4_wave=counted)(0.0) - 0.5) <= 1e-9
+        assert len(launches) <= 3
+
 
 class TestWaveBConstant:
     def test_synthetic_exact_tail(self):
