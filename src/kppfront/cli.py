@@ -15,6 +15,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, ansatz, frontfit, heatkernel, sim
 from .errors import DomainError, NumericsError
 from .io import atomic_write_text, read_csv_columns, write_csv
@@ -136,12 +138,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _trace_from_csv(path: Path) -> sim.FrontTrace:
-    import numpy as np
-
+def _columns(path: Path, names: tuple[str, ...]) -> dict[str, list]:
+    """The columns of a CSV; ValueError unless it has the named ones and a row."""
     cols = read_csv_columns(path)
-    if "t" not in cols or "x_m" not in cols:
-        raise ValueError(f"{path}: expected columns t, x_m")
+    if any(name not in cols for name in names) or not cols[names[0]]:
+        raise ValueError(f"{path}: expected columns {', '.join(names)} and a data row")
+    return cols
+
+
+def _trace_from_csv(path: Path) -> sim.FrontTrace:
+    cols = _columns(path, ("t", "x_m"))
     return sim.FrontTrace(
         times=np.asarray(cols["t"], dtype=float),
         positions=np.asarray(cols["x_m"], dtype=float),
@@ -190,17 +196,26 @@ def cmd_report(args) -> int:
             print(f"missing fit result for {sim_dir} (expected fit_level_*.csv)", file=sys.stderr)
             return EXIT_USAGE
         for fpath in fits:
-            cols = read_csv_columns(fpath)
-            coeff = cols["coefficient"][0]
-            r_hat = float(cols["r_hat"][0])
+            try:
+                cols = _columns(fpath, ("coefficient", "r_hat", "residual_max"))
+                coeff = cols["coefficient"][0]
+                r_hat = float(cols["r_hat"][0])
+                residual = float(cols["residual_max"][0])
+            except ValueError as exc:
+                print(f"malformed fit CSV: {exc}", file=sys.stderr)
+                return EXIT_USAGE
             if coeff == "lnln_coeff":
-                critical_rows.append((k, r_hat, float(cols["residual_max"][0]), str(fpath)))
+                critical_rows.append((k, r_hat, residual, str(fpath)))
             else:
                 r_target = frontfit.drift_target(k)
                 sim_rows.append((k, r_target, r_hat, abs(r_hat - r_target)))
     verdict_rows = []
     for vpath in sorted(run_dir.glob("**/verify_*.csv")):
-        cols = read_csv_columns(vpath)
+        try:
+            cols = _columns(vpath, ("check", "verdict"))
+        except ValueError as exc:
+            print(f"malformed verify CSV: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         for name, verdict in zip(cols["check"], cols["verdict"]):
             verdict_rows.append((str(name), str(verdict)))
     lines = ["run report", "==========", ""]

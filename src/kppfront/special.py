@@ -39,11 +39,15 @@ def _shaped(values: np.ndarray, like: np.ndarray):
     return float(values[0]) if like.ndim == 0 else values.reshape(like.shape)
 
 
-# exp and the power are taken per element as Python floats: numpy's vectorised
-# exp and power differ from libm in the last ulp on some CPUs, and each element
-# of w and w' must equal its one-point evaluation.
+# exp, log and the power are taken per element as Python floats: numpy's
+# vectorised versions differ from libm in the last ulp on some CPUs, and each
+# element of w, w' and ansatz's psi must equal its one-point evaluation.
 def _exp_neg(z: np.ndarray) -> np.ndarray:
     return np.array([math.exp(-v) for v in z.tolist()])
+
+
+def _log(t: np.ndarray) -> np.ndarray:
+    return np.array([math.log(v) for v in t.tolist()])
 
 
 def _pow(y: np.ndarray, p: float) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Minimal traveling wave U and the damped profiles phi_gamma.
 
 U solves U'' + 2U' + U(1-U) = 0 with U(-inf)=1, U(+inf)=0, normalized so the
-1/2-crossing sits at z = 0.  phi_gamma solves phi'' + 2phi' + phi - gamma phi^2
-= 0 from phi(0) = 1/(2 gamma), phi'(0) = 0.  Both tails behave like B z e^{-z};
+1/2-crossing sits at z = 0: the orbit is unique up to translation, so it is
+integrated once and its sample grid is translated onto the crossing.
+phi_gamma solves phi'' + 2phi' + phi - gamma phi^2 = 0 from
+phi(0) = 1/(2 gamma), phi'(0) = 0.  Both tails behave like B z e^{-z};
 B is extracted from a fixed ratio window.
 """
 
@@ -21,8 +23,9 @@ from .errors import DomainError, NumericsError, TailFitError
 MU_UNSTABLE = math.sqrt(2.0) - 1.0
 # Quadratic coefficient of the unstable manifold u = 1 - d e^{mu z} + C2 d^2 e^{2 mu z}.
 _C2 = -1.0 / (7.0 - 4.0 * math.sqrt(2.0))
-# Amplitude 1 - U at the left end of the first integration pass.
-_START_AMPLITUDE = 1e-8
+# Amplitude 1 - U at z = WAVE_Z_MIN; found for PROFILE_DZ and WAVE_Z_MIN as
+# they stand (see minimal_wave), so a change of either needs it found again.
+_START_AMPLITUDE = 3.3085967671439886e-06
 
 TAIL_WINDOW = 10.0
 TAIL_SPREAD_TOL = 0.02
@@ -114,23 +117,19 @@ def _rk4_wave(u0: float, up0: float, n: int, h: float, gamma: float) -> tuple[np
     return vals, dvals
 
 
-def _tail_ratio_stats(z: np.ndarray, values: np.ndarray, z_hi: float) -> tuple[float, float]:
-    mask = (z >= z_hi - TAIL_WINDOW) & (z <= z_hi)
-    if mask.sum() < 10:
-        raise DomainError("tail window not covered by the profile")
-    with np.errstate(over="raise"):
-        ratio = values[mask] * np.exp(z[mask]) / z[mask]
-    mean = float(ratio.mean())
-    spread = float((ratio.max() - ratio.min()) / abs(mean))
-    return mean, spread
-
-
 def wave_B_constant(profile: WaveProfile) -> float:
     """Tail constant B with U(z) ~ B z e^{-z}: mean of U e^z / z over the last
     TAIL_WINDOW units; rejects windows where the ratio still drifts."""
     if profile.z_max < 40.0:
         raise DomainError("profile must extend to z_max >= 40 for tail extraction")
-    mean, spread = _tail_ratio_stats(profile.grid(), profile.values, profile.z_max)
+    z = profile.grid()
+    mask = (z >= profile.z_max - TAIL_WINDOW) & (z <= profile.z_max)
+    if mask.sum() < 10:
+        raise DomainError("tail window not covered by the profile")
+    with np.errstate(over="raise"):
+        ratio = profile.values[mask] * np.exp(z[mask]) / z[mask]
+    mean = float(ratio.mean())
+    spread = float((ratio.max() - ratio.min()) / abs(mean))
     if spread > TAIL_SPREAD_TOL:
         raise TailFitError(
             f"tail ratio spread {spread:.3%} exceeds {TAIL_SPREAD_TOL:.0%}; "
@@ -155,34 +154,29 @@ def _finished(profile: WaveProfile) -> WaveProfile:
 def minimal_wave() -> WaveProfile:
     """Minimal-speed wave, translated so U(0) = 1/2.
 
-    Integrates forward from the unstable manifold of u = 1 (no shooting
-    parameter: the orbit is unique up to translation), then re-launches with a
-    rescaled start amplitude until the 1/2-crossing lies within 1e-9 of
-    z = 0 (three launches).
+    Integrates forward once from the unstable manifold of u = 1 (no shooting
+    parameter: the orbit is unique up to translation), then translates the
+    sample grid so that the 1/2-crossing, read off a linear interpolant of the
+    samples, sits at z = 0.  _START_AMPLITUDE puts the crossing -WAVE_Z_MIN
+    past the first sample to 1e-9, so z0 = WAVE_Z_MIN to 1e-9.  It was found
+    by launching from 1e-8 and twice rescaling the amplitude by
+    e^{MU_UNSTABLE crossing} (crossings 14.0, -1.4e-5, then 7.2e-10).
     """
-    z_min, dz = WAVE_Z_MIN, PROFILE_DZ
-    n = int(round((PROFILE_Z_MAX - z_min) / dz))
-    z = z_min + dz * np.arange(n + 1)
+    dz = PROFILE_DZ
+    n = int(round((PROFILE_Z_MAX - WAVE_Z_MIN) / dz))
     delta = _START_AMPLITUDE
-    for _ in range(6):
-        u0 = 1.0 - delta + _C2 * delta * delta
-        up0 = -MU_UNSTABLE * delta + 2.0 * MU_UNSTABLE * _C2 * delta * delta
-        vals, dvals = _rk4_wave(u0, up0, n, dz, 1.0)
-        if vals.min() <= 0.0 or vals.max() >= 1.0:
-            raise NumericsError("wave trajectory left (0, 1); refine dz or move z_min left")
-        above = np.nonzero(vals >= 0.5)[0]
-        if above.size == 0 or above[-1] == n:
-            raise NumericsError("1/2-crossing not bracketed on the grid")
-        i = above[-1]
-        crossing = z[i] + dz * (0.5 - vals[i]) / (vals[i + 1] - vals[i])
-        # read off a linear interpolant of the samples, the crossing stalls
-        # at about 1e-10 and only changes sign on further re-launches
-        if abs(crossing) <= 1e-9:
-            break
-        delta *= math.exp(MU_UNSTABLE * crossing)
-    else:
-        raise NumericsError(f"crossing recentering stalled at {crossing:.3e}")
-    return _finished(WaveProfile(z0=z_min, dz=dz, values=vals, dvalues=dvals))
+    u0 = 1.0 - delta + _C2 * delta * delta
+    up0 = -MU_UNSTABLE * delta + 2.0 * MU_UNSTABLE * _C2 * delta * delta
+    vals, dvals = _rk4_wave(u0, up0, n, dz, 1.0)
+    if vals.min() <= 0.0 or vals.max() >= 1.0:
+        raise NumericsError("wave trajectory left (0, 1); refine PROFILE_DZ or move WAVE_Z_MIN left")
+    above = np.nonzero(vals >= 0.5)[0]
+    if above.size == 0 or above[-1] == n:
+        raise NumericsError("1/2-crossing not bracketed on the grid")
+    i = above[-1]
+    crossing = WAVE_Z_MIN + dz * i + dz * (0.5 - vals[i]) / (vals[i + 1] - vals[i])
+    z0 = float(WAVE_Z_MIN - crossing)
+    return _finished(WaveProfile(z0=z0, dz=dz, values=vals, dvalues=dvals))
 
 
 @lru_cache(maxsize=32)

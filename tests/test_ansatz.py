@@ -224,8 +224,9 @@ class TestGridEvaluation:
             assert list(got) == list(want)
             np.testing.assert_equal(got, want)
 
-    @pytest.mark.parametrize("check", [check_supersolution, check_subsolution])
-    def test_at_most_eight_profile_calls(self, monkeypatch, check):
+    @pytest.fixture()
+    def profile_calls(self, monkeypatch):
+        """The sizes of the w and w' evaluations ansatz makes, one per call."""
         calls = []
         for name in ("w_eval", "w_prime_eval"):
             def counted(r, y, f=getattr(ansatz, name)):
@@ -233,8 +234,18 @@ class TestGridEvaluation:
                 return f(r, y)
 
             monkeypatch.setattr(ansatz, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("check", [check_supersolution, check_subsolution])
+    def test_at_most_eight_profile_calls(self, profile_calls, check):
         assert check(0.5).passed
-        assert len(calls) <= 8
+        assert len(profile_calls) <= 8
+
+    def test_identity_check_at_most_twelve_profile_calls(self, profile_calls):
+        # 10 stencil points (2 Richardson levels x 5) and the scale's u take
+        # w over all 15 samples at once; the closed form takes w' once
+        assert check_linear_residual_identity(0.5, 0.5).passed
+        assert len(profile_calls) <= 12
 
 
 class TestTwShift:

@@ -247,6 +247,27 @@ class TestReportCommand:
     def test_missing_dir(self, capsys, tmp_path):
         assert main(["report", str(tmp_path / "absent")]) == 1
 
+    @pytest.mark.parametrize("text", ["", "estimator,r_hat\nlog,0.5\n",
+                                      "coefficient,r_hat,residual_max\n"],
+                             ids=["empty", "no_coefficient", "no_rows"])
+    def test_malformed_fit_csv(self, tmp_path, capsys, text):
+        sim_dir = tmp_path / "rundir" / "k1"
+        sim_dir.mkdir(parents=True)
+        (sim_dir / "manifest.json").write_text(
+            json.dumps({"command": "simulate", "config": {"k": 1.0}}), encoding="utf-8")
+        (sim_dir / "fit_level_0.5.csv").write_text(text, encoding="utf-8")
+        assert main(["report", str(tmp_path / "rundir")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("malformed fit CSV: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["", "check,domain\npsi_super_r1,t=[4]\n"],
+                             ids=["empty", "no_verdict"])
+    def test_malformed_verify_csv(self, tmp_path, capsys, text):
+        (tmp_path / "verify_heat.csv").write_text(text, encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("malformed verify CSV: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "heat", "--bogus", "2"],

@@ -71,21 +71,21 @@ class TestMinimalWave:
         assert wave.B > 0.0
 
     def test_translation_consistency(self, wave, rebuilt_wave):
-        other = rebuilt_wave(WAVE_Z_MIN=-25.0)
-        # both recentered on the 1/2-crossing; compare on the common grid
-        offset = int(round((other.z0 - wave.z0) / wave.dz))
-        a = wave.values[offset:]
-        b = other.values
-        assert a.size == b.size
-        assert np.max(np.abs(a - b)) <= 1e-8
+        # a start amplitude delta e^{-mu s} launches the same orbit s units
+        # further right; recentred on its 1/2-crossing it is the same wave
+        delta = waves._START_AMPLITUDE
+        zs = np.linspace(-25.0, 45.0, 7001)
+        for s in (5.0, -3.0):
+            other = rebuilt_wave(_START_AMPLITUDE=delta * math.exp(-waves.MU_UNSTABLE * s))
+            assert abs((wave.z0 - other.z0) - s) <= 1e-4
+            assert np.max(np.abs(other(zs) - wave(zs))) <= 1e-8
 
     def test_B_insensitive_to_dz(self, wave, rebuilt_wave):
         finer = rebuilt_wave(PROFILE_DZ=5e-4)
         assert abs(finer.B - wave.B) / wave.B <= 1e-3
 
-    def test_recentring_stops_within_three_launches(self, rebuilt_wave):
-        # the crossing reaches the 1e-9 bound on the third launch and only
-        # changes sign about the interpolation floor after that
+    def test_wave_launched_once(self, rebuilt_wave):
+        # recentring translates the grid; the orbit is integrated once
         launches = []
 
         def counted(*args):
@@ -93,7 +93,12 @@ class TestMinimalWave:
             return _rk4_wave(*args)
 
         assert abs(rebuilt_wave(_rk4_wave=counted)(0.0) - 0.5) <= 1e-9
-        assert len(launches) <= 3
+        assert len(launches) == 1
+
+    def test_start_amplitude_fits_the_window(self, wave):
+        # _START_AMPLITUDE puts the crossing -WAVE_Z_MIN past the first
+        # sample; a new PROFILE_DZ or WAVE_Z_MIN needs a new amplitude
+        assert abs(wave.z0 - waves.WAVE_Z_MIN) <= 1e-9
 
 
 class TestWaveBConstant:
