@@ -8,7 +8,7 @@ heat quadrature), cli (command-line front end).
 
 __version__ = "0.1.0"
 
-from .errors import DomainError, LevelNotAttainedError, NumericsError, TailFitError
+from .errors import DomainError, LevelNotAttainedError, NumericsError
 from .grid import GridFunction
 from .special import (
     w_asymptotic_constant,
@@ -16,7 +16,7 @@ from .special import (
     w_ode_oracle,
     w_prime_eval,
 )
-from .waves import WaveProfile, minimal_wave, ode_residual, phi_gamma, wave_B_constant
+from .waves import WaveProfile, minimal_wave, ode_residual, phi_gamma
 from .sim import (
     FrontTrace,
     SimConfig,
@@ -38,7 +38,6 @@ __all__ = [
     "NumericsError",
     "SimConfig",
     "SimResult",
-    "TailFitError",
     "VerificationReport",
     "WaveProfile",
     "discrete_residual",
@@ -54,6 +53,5 @@ __all__ = [
     "w_eval",
     "w_ode_oracle",
     "w_prime_eval",
-    "wave_B_constant",
     "wave_distance",
 ]

@@ -61,24 +61,21 @@ def _moving_frame_ansatz(r: float, r_prime: float):
     return lambda t, x: psi_eval(r, r_prime, t, x - 2.0 * t + r_prime * _log(t))
 
 
-def _linear_residual_fd(u, t, x, h_t, h_x, nonlinear: bool):
+def _linear_residual_fd(u, t, x, h_t, h_x):
     du_dt = (u(t + h_t, x) - u(t - h_t, x)) / (2.0 * h_t)
     mid = u(t, x)
     d2u = (u(t, x + h_x) - 2.0 * mid + u(t, x - h_x)) / (h_x * h_x)
-    out = du_dt - d2u - mid
-    if nonlinear:
-        out += mid * mid
-    return out
+    return du_dt - d2u - mid
 
 
-def fd_residual(u, t, x, h_t, h_x, nonlinear: bool = False):
+def fd_residual(u, t, x, h_t, h_x):
     """Richardson-refined centered-difference evaluation of the parabolic
     operator on an ansatz u(t, x); elementwise, so t, x, h_t and h_x may be
     arrays of one shape when u takes and returns such arrays.  Callers must
     size h_t/h_x so the stencil stays inside the ansatz support (moving-frame
     supports depend on t)."""
-    coarse = _linear_residual_fd(u, t, x, h_t, h_x, nonlinear)
-    fine = _linear_residual_fd(u, t, x, 0.5 * h_t, 0.5 * h_x, nonlinear)
+    coarse = _linear_residual_fd(u, t, x, h_t, h_x)
+    fine = _linear_residual_fd(u, t, x, 0.5 * h_t, 0.5 * h_x)
     return (4.0 * fine - coarse) / 3.0
 
 

@@ -184,7 +184,13 @@ def cmd_report(args) -> int:
     sim_rows = []
     critical_rows = []
     for mpath in manifests:
-        meta = json.loads(mpath.read_text())
+        try:
+            meta = json.loads(mpath.read_text())
+            if not isinstance(meta, dict):
+                raise ValueError("not a JSON object")
+        except ValueError as exc:
+            print(f"malformed manifest: {mpath}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if meta.get("command") != "simulate":
             continue
         k = meta.get("config", {}).get("k")

@@ -13,9 +13,5 @@ class NumericsError(RuntimeError):
     """A numerical procedure failed: instability, non-convergence, lost tolerance."""
 
 
-class TailFitError(NumericsError):
-    """Tail-constant extraction did not converge (ratio still drifting)."""
-
-
 class LevelNotAttainedError(NumericsError):
     """A requested level set is empty on the computational domain."""

@@ -4,8 +4,8 @@ U solves U'' + 2U' + U(1-U) = 0 with U(-inf)=1, U(+inf)=0, normalized so the
 1/2-crossing sits at z = 0: the orbit is unique up to translation, so it is
 integrated once and its sample grid is translated onto the crossing.
 phi_gamma solves phi'' + 2phi' + phi - gamma phi^2 = 0 from
-phi(0) = 1/(2 gamma), phi'(0) = 0.  Both tails behave like B z e^{-z};
-B is extracted from a fixed ratio window.
+phi(0) = 1/(2 gamma), phi'(0) = 0.  Each profile is kept as its samples
+and derivative samples on a uniform grid.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, TailFitError
+from .errors import DomainError, NumericsError
 
 # Growing eigenvalue of the linearization at the invaded state u = 1:
 # root of mu^2 + 2 mu - 1 = 0.
@@ -27,8 +27,6 @@ _C2 = -1.0 / (7.0 - 4.0 * math.sqrt(2.0))
 # they stand (see minimal_wave), so a change of either needs it found again.
 _START_AMPLITUDE = 3.3085967671439886e-06
 
-TAIL_WINDOW = 10.0
-TAIL_SPREAD_TOL = 0.02
 # Right end and step of both profiles' samples; the minimal wave starts at
 # WAVE_Z_MIN, phi_gamma at 0.
 PROFILE_Z_MAX = 55.0
@@ -38,14 +36,13 @@ WAVE_Z_MIN = -30.0
 
 @dataclass
 class WaveProfile:
-    """Sampled monotone profile, its derivative samples and its
-    exponential-tail constant; gamma = 1 is the minimal wave."""
+    """Sampled monotone profile and its derivative samples; gamma = 1 is
+    the minimal wave."""
 
     z0: float
     dz: float
     values: np.ndarray = field(repr=False)
     dvalues: np.ndarray = field(repr=False)
-    B: float = 0.0
     gamma: float = 1.0
 
     def grid(self) -> np.ndarray:
@@ -117,39 +114,6 @@ def _rk4_wave(u0: float, up0: float, n: int, h: float, gamma: float) -> tuple[np
     return vals, dvals
 
 
-def wave_B_constant(profile: WaveProfile) -> float:
-    """Tail constant B with U(z) ~ B z e^{-z}: mean of U e^z / z over the last
-    TAIL_WINDOW units; rejects windows where the ratio still drifts."""
-    if profile.z_max < 40.0:
-        raise DomainError("profile must extend to z_max >= 40 for tail extraction")
-    z = profile.grid()
-    mask = (z >= profile.z_max - TAIL_WINDOW) & (z <= profile.z_max)
-    if mask.sum() < 10:
-        raise DomainError("tail window not covered by the profile")
-    with np.errstate(over="raise"):
-        ratio = profile.values[mask] * np.exp(z[mask]) / z[mask]
-    mean = float(ratio.mean())
-    spread = float((ratio.max() - ratio.min()) / abs(mean))
-    if spread > TAIL_SPREAD_TOL:
-        raise TailFitError(
-            f"tail ratio spread {spread:.3%} exceeds {TAIL_SPREAD_TOL:.0%}; "
-            "profile too short for a converged B"
-        )
-    if not mean > 0.0:
-        raise TailFitError("tail constant came out nonpositive")
-    return mean
-
-
-def _finished(profile: WaveProfile) -> WaveProfile:
-    """Attach the tail constant and make the samples read-only: the cached
-    profile is shared by every caller, so a write would corrupt all later
-    results."""
-    profile.B = wave_B_constant(profile)
-    profile.values.flags.writeable = False
-    profile.dvalues.flags.writeable = False
-    return profile
-
-
 @lru_cache(maxsize=1)
 def minimal_wave() -> WaveProfile:
     """Minimal-speed wave, translated so U(0) = 1/2.
@@ -176,7 +140,9 @@ def minimal_wave() -> WaveProfile:
     i = above[-1]
     crossing = WAVE_Z_MIN + dz * i + dz * (0.5 - vals[i]) / (vals[i + 1] - vals[i])
     z0 = float(WAVE_Z_MIN - crossing)
-    return _finished(WaveProfile(z0=z0, dz=dz, values=vals, dvalues=dvals))
+    # the cache shares the profile with every caller: a write would corrupt later results
+    vals.flags.writeable = dvals.flags.writeable = False
+    return WaveProfile(z0=z0, dz=dz, values=vals, dvalues=dvals)
 
 
 @lru_cache(maxsize=32)
@@ -196,9 +162,8 @@ def phi_gamma(gamma: float) -> WaveProfile:
     logslope = dvals[1:] / vals[1:]
     if np.any(logslope < -1.0 - 1e-12):
         raise NumericsError("phi'/phi dropped below -1: integration error")
-    return _finished(
-        WaveProfile(z0=0.0, dz=PROFILE_DZ, values=vals, gamma=gamma, dvalues=dvals)
-    )
+    vals.flags.writeable = dvals.flags.writeable = False  # cached, as minimal_wave
+    return WaveProfile(z0=0.0, dz=PROFILE_DZ, values=vals, gamma=gamma, dvalues=dvals)
 
 
 def ode_residual(profile: WaveProfile) -> float:

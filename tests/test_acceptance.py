@@ -22,7 +22,6 @@ from kppfront import (
     w_asymptotic_constant,
     w_eval,
     w_ode_oracle,
-    wave_B_constant,
     wave_distance,
 )
 from kppfront.ansatz import (
@@ -340,10 +339,6 @@ class TestDriftLawModuleInvariants:
         gain = -(tr.delays()[-1] - tr.delays()[tr.times >= 500.0][0])
         expected = math.log(5000.0 / 500.0)
         assert 0.5 * expected <= gain <= 1.5 * expected
-
-    def test_tail_bound_example_wave_B(self, k_runs):
-        b = wave_B_constant(minimal_wave())
-        assert b > 0.0
 
 
 class TestSimulationGuards:

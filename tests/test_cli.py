@@ -260,6 +260,13 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("malformed fit CSV: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["{bad", "[]"], ids=["not_json", "not_object"])
+    def test_malformed_manifest(self, tmp_path, capsys, text):
+        (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("malformed manifest: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["", "check,domain\npsi_super_r1,t=[4]\n"],
                              ids=["empty", "no_verdict"])
     def test_malformed_verify_csv(self, tmp_path, capsys, text):

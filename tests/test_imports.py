@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module, no
-module keeps a cache other than the two wave-profile builds, the package
-exports exactly the names its __init__ imports, and no certificate takes a
-parameter with a default.
+"""Every name a module of the package imports is used in that module, every
+dataclass field is read somewhere in the package or the benchmark, no module
+keeps a cache other than the two wave-profile builds, the package exports
+exactly the names its __init__ imports, and no certificate takes a parameter
+with a default.
 
 The package's __init__ imports names only to re-export them, so it is
 exempt from the unused-import check.  Uses are found with the stdlib ast
@@ -22,6 +23,7 @@ from kppfront import ansatz, heatkernel, waves
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kppfront"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -46,6 +48,36 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_fields(sources: list[str], readers: list[str]) -> list[tuple[str, str]]:
+    """(class, field) of each dataclass field in `sources` that no module of
+    `readers` loads as an attribute (`obj.field`)."""
+    fields = []
+    for tree in map(ast.parse, sources):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                    for d in cls.decorator_list):
+                fields += [(cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    loaded = {node.attr for tree in map(ast.parse, readers) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f for f in fields if f[1] not in loaded)
+
+
+def test_field_checker_flags_an_unread_field():
+    source = ("from dataclasses import dataclass\n@dataclass(frozen=True)\n"
+              "class P:\n    a: int\n    b: int = 0\nprint(P(1).a)\n")
+    assert unread_fields([source], [source]) == [("P", "b")]
+
+
+def test_every_dataclass_field_is_read():
+    # a record field that no program reads is dead weight that every
+    # constructor still fills in; tests do not count as readers
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    readers = sources + [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unread_fields(sources, readers) == []
 
 
 def test_all_exports_resolve():

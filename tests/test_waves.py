@@ -1,4 +1,4 @@
-"""Minimal wave and damped-profile construction, tail constants, residuals."""
+"""Minimal wave and damped-profile construction, tails, residuals."""
 
 import math
 
@@ -7,15 +7,12 @@ import pytest
 
 from kppfront import (
     DomainError,
-    NumericsError,
-    TailFitError,
     minimal_wave,
     ode_residual,
     phi_gamma,
-    wave_B_constant,
     waves,
 )
-from kppfront.waves import WaveProfile, _rk4_wave
+from kppfront.waves import _rk4_wave
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +63,6 @@ class TestMinimalWave:
         r55 = wave.values[i55] * math.exp(z[i55]) / z[i55]
         assert abs(r55 - r45) / r55 <= 0.02
 
-    def test_tail_constant_positive_finite(self, wave):
-        assert math.isfinite(wave.B)
-        assert wave.B > 0.0
-
     def test_translation_consistency(self, wave, rebuilt_wave):
         # a start amplitude delta e^{-mu s} launches the same orbit s units
         # further right; recentred on its 1/2-crossing it is the same wave
@@ -79,10 +72,6 @@ class TestMinimalWave:
             other = rebuilt_wave(_START_AMPLITUDE=delta * math.exp(-waves.MU_UNSTABLE * s))
             assert abs((wave.z0 - other.z0) - s) <= 1e-4
             assert np.max(np.abs(other(zs) - wave(zs))) <= 1e-8
-
-    def test_B_insensitive_to_dz(self, wave, rebuilt_wave):
-        finer = rebuilt_wave(PROFILE_DZ=5e-4)
-        assert abs(finer.B - wave.B) / wave.B <= 1e-3
 
     def test_wave_launched_once(self, rebuilt_wave):
         # recentring translates the grid; the orbit is integrated once
@@ -99,28 +88,6 @@ class TestMinimalWave:
         # _START_AMPLITUDE puts the crossing -WAVE_Z_MIN past the first
         # sample; a new PROFILE_DZ or WAVE_Z_MIN needs a new amplitude
         assert abs(wave.z0 - waves.WAVE_Z_MIN) <= 1e-9
-
-
-class TestWaveBConstant:
-    def test_synthetic_exact_tail(self):
-        dz = 1e-3
-        z = 20.0 + dz * np.arange(int(round(30.0 / dz)) + 1)
-        profile = WaveProfile(z0=20.0, dz=dz, values=0.7 * z * np.exp(-z),
-                              dvalues=0.7 * (1.0 - z) * np.exp(-z))
-        np.testing.assert_allclose(wave_B_constant(profile), 0.7, atol=1e-10)
-
-    def test_truncated_profile_reports_nonconvergence(self, wave):
-        n_keep = int(round((15.0 - wave.z0) / wave.dz)) + 1
-        short = WaveProfile(z0=wave.z0, dz=wave.dz, values=wave.values[:n_keep],
-                            dvalues=wave.dvalues[:n_keep])
-        with pytest.raises(DomainError):
-            wave_B_constant(short)  # does not even reach z = 40
-        # a profile reaching z = 40 but fit over a still-drifting window
-        n40 = int(round((41.0 - wave.z0) / wave.dz)) + 1
-        drifting = WaveProfile(z0=wave.z0, dz=wave.dz, values=wave.values[:n40],
-                               dvalues=wave.dvalues[:n40])
-        with pytest.raises(TailFitError):
-            wave_B_constant(drifting)
 
 
 class TestPhiGamma:
@@ -141,14 +108,6 @@ class TestPhiGamma:
         phi1, _ = _rk4_wave(0.5, 0.0, len(p.values) - 1, p.dz, 1.0)
         assert np.max(np.abs(g * p.values - phi1)) <= 1e-10
 
-    def test_tail_constant(self):
-        p = phi_gamma(2.0)
-        assert p.B > 0.0
-        # ratio e^z / z converges onto B inside the fit window
-        z = p.grid()
-        i = int(round(50.0 / p.dz))
-        np.testing.assert_allclose(p.values[i] * math.exp(z[i]) / z[i], p.B, rtol=0.02)
-
     def test_gamma_one_orbit_distinct_from_wave_but_tail_equivalent(self, wave):
         # phi_1 launches flat at height 1/2 while the wave crosses 1/2 with
         # negative slope: distinct phase-plane orbits that share the
@@ -161,7 +120,10 @@ class TestPhiGamma:
         z = 1e-3 * np.arange(phi1.size)
         m = z >= 45.0
         b_phi1 = float(np.mean(phi1[m] * np.exp(z[m]) / z[m]))
-        shift = math.log(b_phi1 / wave.B)
+        zw = wave.grid()
+        w = zw >= wave.z_max - 10.0
+        b_wave = float(np.mean(wave.values[w] * np.exp(zw[w]) / zw[w]))
+        shift = math.log(b_phi1 / b_wave)
         zz = z[m]
         assert np.max(np.abs(phi1[m] - wave(zz + shift))) <= 1e-6
 
