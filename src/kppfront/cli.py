@@ -188,13 +188,16 @@ def cmd_report(args) -> int:
             meta = json.loads(mpath.read_text())
             if not isinstance(meta, dict):
                 raise ValueError("not a JSON object")
+            config = meta.get("config", {})
+            if not isinstance(config, dict):
+                raise ValueError("config is not a JSON object")
+            k = config.get("k")
+            if k is not None and (isinstance(k, bool) or not isinstance(k, (int, float))):
+                raise ValueError(f"config k is not a number: {k!r}")
         except ValueError as exc:
             print(f"malformed manifest: {mpath}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if meta.get("command") != "simulate":
-            continue
-        k = meta.get("config", {}).get("k")
-        if k is None:
+        if meta.get("command") != "simulate" or k is None:
             continue
         sim_dir = mpath.parent
         fits = sorted(sim_dir.glob("fit_level_*.csv"))

@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from kppfront import (
-    SimConfig,
     extract_level,
     fit_critical,
     fit_log_correction,
     minimal_wave,
     ode_residual,
     phi_gamma,
-    simulate,
     w_asymptotic_constant,
     w_eval,
     w_ode_oracle,
@@ -39,7 +37,7 @@ from kppfront.heatkernel import (
     verify_midrange_band,
 )
 from kppfront.sim import Stepper
-from kppfront.waves import WaveProfile, _rk4_wave
+from kppfront.waves import _rk4_wave
 
 R_TARGETS = {3.0: -1.0, 1.0: 0.0, 0.0: 0.5, -1.0: 1.0}
 

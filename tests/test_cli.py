@@ -260,9 +260,16 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("malformed fit CSV: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("text", ["{bad", "[]"], ids=["not_json", "not_object"])
+    @pytest.mark.parametrize("text", [
+        "{bad", "[]",
+        '{"command": "simulate", "config": []}',
+        '{"command": "simulate", "config": {"k": "one"}}',
+    ], ids=["not_json", "not_object", "config_not_object", "k_not_number"])
     def test_malformed_manifest(self, tmp_path, capsys, text):
         (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+        # a well-formed fit next to it, so only the manifest can be at fault
+        (tmp_path / "fit_level_0.5.csv").write_text(
+            "coefficient,r_hat,residual_max\nr,0.5,0.001\n", encoding="utf-8")
         assert main(["report", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("malformed manifest: ") and err.count("\n") == 1

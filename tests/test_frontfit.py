@@ -1,6 +1,5 @@
 """Drift-law fitting and wave distance on synthetic data with known answers."""
 
-import math
 import warnings
 
 import numpy as np

@@ -1,8 +1,8 @@
-"""Every name a module of the package imports is used in that module, every
-dataclass field is read somewhere in the package or the benchmark, no module
-keeps a cache other than the two wave-profile builds, the package exports
-exactly the names its __init__ imports, and no certificate takes a parameter
-with a default.
+"""Every name a module of the package or of the test suite imports is used
+in that module, every dataclass field is read somewhere in the package or
+the benchmark, no module keeps a cache other than the two wave-profile
+builds, the package exports exactly the names its __init__ imports, and no
+certificate takes a parameter with a default.
 
 The package's __init__ imports names only to re-export them, so it is
 exempt from the unused-import check.  Uses are found with the stdlib ast
@@ -45,7 +45,11 @@ def test_checker_flags_an_unused_name():
     assert unused_imports(source) == [(1, "os"), (2, "tau")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -230,7 +230,54 @@ class TestArrayRoute:
                 w_prime_eval(0.5, bad)
 
 
+def rk4_loop_oracle(r: float, y_max: float, n: int) -> np.ndarray:
+    """The w Cauchy problem stepped node by node with classical RK4: the
+    reference for the blocked w_ode_oracle."""
+    h = y_max / n
+    c = r - 0.5
+    w, wp = 0.0, 1.0
+    out = np.empty(n + 1)
+    out[0] = w
+    y = 0.0
+    for i in range(n):
+        k1w = wp
+        k1p = -0.5 * y * wp - c * w
+        y2 = y + 0.5 * h
+        w2 = w + 0.5 * h * k1w
+        p2 = wp + 0.5 * h * k1p
+        k2w = p2
+        k2p = -0.5 * y2 * p2 - c * w2
+        w3 = w + 0.5 * h * k2w
+        p3 = wp + 0.5 * h * k2p
+        k3w = p3
+        k3p = -0.5 * y2 * p3 - c * w3
+        y4 = y + h
+        w4 = w + h * k3w
+        p4 = wp + h * k3p
+        k4w = p4
+        k4p = -0.5 * y4 * p4 - c * w4
+        w += h * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
+        wp += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        y = y4
+        out[i + 1] = w
+    return out
+
+
 class TestOdeOracle:
+    # n = 100 fills 10 blocks of 10 steps exactly; 1001, 20_000 and 100_000
+    # leave the last block of ceil(sqrt(n)) steps part-used; y_max = 50 at
+    # n = 200_000 is criterion 4's tail-constant grid
+    @pytest.mark.parametrize("y_max, n", [(10.0, 100), (10.0, 1001), (10.0, 20_000),
+                                          (10.0, 100_000), (50.0, 200_000)])
+    @pytest.mark.parametrize("r", R_FAMILY + (1.5,))
+    def test_blocks_match_node_by_node_stepping(self, r, y_max, n):
+        grid = w_ode_oracle(r, y_max, n)
+        assert grid.values.size == n + 1
+        assert grid.values[0] == 0.0
+        assert grid.xi0 == 0.0 and grid.dxi == y_max / n
+        ref = rk4_loop_oracle(r, y_max, n)
+        assert np.all(np.abs(grid.values - ref) <= 1e-11 * (1.0 + np.abs(ref)))
+
     def test_gaussian_case_grid(self):
         grid = w_ode_oracle(1.5, 10.0, 100_000)
         ys = grid.grid()
@@ -252,6 +299,13 @@ class TestOdeOracle:
             w_ode_oracle(0.5, 10.0, 50)
         with pytest.raises(DomainError):
             w_ode_oracle(0.5, -1.0, 1000)
+
+    @pytest.mark.parametrize("r, y_max", [(0.5, math.inf), (math.nan, 10.0),
+                                          (math.inf, 10.0), (0.5, math.nan)])
+    def test_non_finite_input_rejected(self, r, y_max):
+        # a NaN or inf input would otherwise come back as a grid of NaN
+        with pytest.raises(DomainError):
+            w_ode_oracle(r, y_max, 1000)
 
     @pytest.mark.parametrize("r", R_FAMILY)
     def test_w_eval_matches_oracle(self, r):
