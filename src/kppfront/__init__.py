@@ -21,7 +21,6 @@ from .sim import (
     FrontTrace,
     SimConfig,
     SimResult,
-    discrete_residual,
     extract_level,
     load_config,
     simulate,
@@ -40,7 +39,6 @@ __all__ = [
     "SimResult",
     "VerificationReport",
     "WaveProfile",
-    "discrete_residual",
     "extract_level",
     "fit_critical",
     "fit_log_correction",

@@ -136,13 +136,16 @@ def _sign_scan(ts, signed_at, sense: str):
     sample points they sit at.  sense is "super" (residual >= 0: the worst is
     the minimum) or "sub" (residual <= 0: the worst is the maximum).  Returns
     (worst, worst_at, verdict): worst_at is the first (t, point) attaining the
-    worst, and the verdict allows SIGN_TOL of the wrong sign."""
+    worst, and the verdict allows SIGN_TOL of the wrong sign.  A NaN residual
+    fails the scan at once, with worst NaN at its first (t, point)."""
     flip = 1.0 if sense == "super" else -1.0  # the worst is the minimum of flip * residual
     worst, worst_at = math.inf, None
     for t in ts:
         signed, points = signed_at(t)
         flipped = flip * np.asarray(signed)
-        i = int(np.argmin(flipped))
+        i = int(np.argmin(flipped))  # the first NaN, if there is one
+        if math.isnan(flipped[i]):
+            return math.nan, (float(t), float(points[i])), "fail"
         if flipped[i] < worst:
             worst, worst_at = float(flipped[i]), (float(t), float(points[i]))
     return flip * worst, worst_at, "pass" if worst >= -SIGN_TOL else "fail"

@@ -6,9 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Largest difference in origin or spacing between two grids taken as the same.
-SAME_GRID_TOL = 1e-12
-
 
 @dataclass
 class GridFunction:
@@ -27,10 +24,3 @@ class GridFunction:
 
     def grid(self) -> np.ndarray:
         return self.xi0 + self.dxi * np.arange(self.values.size)
-
-    def same_grid(self, other: "GridFunction") -> bool:
-        return (
-            self.values.size == other.values.size
-            and abs(self.xi0 - other.xi0) <= SAME_GRID_TOL
-            and abs(self.dxi - other.dxi) <= SAME_GRID_TOL
-        )

@@ -1,12 +1,11 @@
 """Linear heat solutions behind the critical-case analysis, by adaptive
 Gauss-Kronrod quadrature of kernel integrals.
 
-Two families are covered: the half-line Dirichlet solution v(t, x) from the
-piecewise data (1 on (0,1], 1/x^2 beyond), and the whole-line solution of
-u_t = u_xx + u from front-like data.  All kernels are arranged so no
-catastrophic cancellation or overflow occurs: the image kernel is evaluated as
-exp(-(x-y)^2/4t) * (-expm1(-xy/t)) and the whole-line integrand carries its
-exp(t) growth inside a single combined exponent.
+The one family covered is the half-line Dirichlet solution v(t, x) from the
+piecewise data (1 on (0,1], 1/x^2 beyond), with its x-derivative and an
+independent sinh-form route.  The kernels are arranged so no catastrophic
+cancellation or overflow occurs: the image kernel is evaluated as
+exp(-(x-y)^2/4t) * (-expm1(-xy/t)).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from scipy.integrate import quad
 
 from .errors import DomainError, NumericsError
 from .report import VerificationReport
-from .sim import front_data_log_weighted
 
 # Gaussian factor below 1e-18 of its peak is dropped.
 _TRUNC_LOG = math.log(1e18)
@@ -54,28 +52,23 @@ def critical_data(y: float) -> float:
     return 1.0 if y <= 1.0 else 1.0 / (y * y)
 
 
-def _piecewise_quad(f, edges: list[float], tol: float, relative: bool = False) -> QuadratureResult:
+def _piecewise_quad(f, edges: list[float], tol: float) -> QuadratureResult:
     total = 0.0
     err = 0.0
     neval = 0
-    n_panels = max(len(edges) - 1, 1)
-    if relative:
-        epsabs, epsrel = 1e-280, 0.5 * tol
-    else:
-        epsabs, epsrel = 0.5 * tol / n_panels, 1e-11
+    epsabs = 0.5 * tol / max(len(edges) - 1, 1)
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:
             continue
         val, e, info = quad(
-            f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_QUAD_LIMIT,
+            f, a, b, epsabs=epsabs, epsrel=1e-11, limit=_QUAD_LIMIT,
             full_output=True,
         )[:3]
         total += val
         err += e
         neval += info["neval"]
-    budget = tol * abs(total) if relative else tol
     # negated so that a NaN estimate fails too
-    if not err <= max(budget, abs(total) * 1e-10, 1e-300):
+    if not err <= max(tol, abs(total) * 1e-10, 1e-300):
         raise NumericsError(f"quadrature error estimate {err:.2e} exceeds tolerance {tol:.2e}")
     return QuadratureResult(total, err, neval)
 
@@ -170,49 +163,6 @@ def verify_midrange_band(t: float) -> VerificationReport:
         details={"band_lo": lo, "band_hi": hi, "band_width": hi - lo,
                  "midrange_limit": MIDRANGE_BAND_LIMIT},
     )
-
-
-def v_wholeline_kpp_log(
-    t: float, x: float, k: float, A: float, tol: float = 1e-8
-) -> tuple[float, float, int]:
-    """ln of e^t * (heat kernel * u0)(x) for the front-like datum u0 of
-    sim.front_data_log_weighted: the growth factor is folded into the
-    quadrature exponent, and the result is returned in log scale so ratios stay
-    meaningful when e^t G u0 underflows doubles.  Returns (ln v, rel_err, neval)."""
-    if not t > 0.0:
-        raise DomainError("t must be positive")
-
-    def exponent(y: float) -> float:
-        ln_u0 = float(front_data_log_weighted(y, k, A)) - y
-        return t - (x - y) ** 2 / (4.0 * t) + ln_u0
-
-    # candidate maxima: the e^{-y}-tail saddle at x - 2t, the kernel peak at x
-    # (relevant only for non-decaying data), and the data kinks
-    candidates = [x - 2.0 * t, x, 0.0, 1.0]
-    g0 = max(exponent(y) for y in candidates)
-    if not math.isfinite(g0):
-        raise NumericsError("could not scale the whole-line integrand")
-    # keep only candidates that actually contribute; a dead multi-decade panel
-    # between the saddle and the kernel peak would defeat the quadrature
-    live = [y for y in candidates if exponent(y) >= g0 - 60.0]
-    radius = 2.0 * math.sqrt(t * _TRUNC_LOG) + 10.0
-    lo = min(live) - radius
-    hi = max(live) + radius
-
-    def integrand(y: float) -> float:
-        expo = exponent(y) - g0
-        return math.exp(expo) if expo > -745.0 else 0.0
-
-    y_peak = x - 2.0 * t
-    kinks = (0.0, 1.0, y_peak - math.sqrt(t), y_peak, y_peak + math.sqrt(t), x)
-    edges = [lo] + sorted({p for p in kinks if lo < p < hi}) + [hi]
-    res = _piecewise_quad(integrand, edges, tol, relative=True)
-    if res.value <= 0.0:
-        raise NumericsError("whole-line quadrature collapsed to zero")
-    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
-    ln_v = math.log(res.value) + g0 + math.log(pref)
-    rel = res.abs_error_estimate / res.value
-    return ln_v, rel, res.evaluations
 
 
 def gradient_bound_constant() -> tuple[float, VerificationReport]:

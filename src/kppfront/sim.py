@@ -63,9 +63,9 @@ the part of a node's overshoot beyond CLAMP_ALLOWANCE is added to
 Stepper.clamp_total, so rounding noise on u = 1 reads 0 there.
 
 Initial datum.  The front-like datum u0 ~ A xi^k e^{-xi} is defined once,
-in weighted log space, by front_data_log_weighted = ln(e^{xi} u0).  The
-weighted initial state is its exp, the plain-u datum is Stepper.to_linear of
-that, and the whole-line heat oracle in heatkernel uses the same function.
+by init_front_data_weighted, as the exp of ln(e^{xi} u0) built in weighted
+log space.  The plain-u datum (the t = 0 snapshot) is Stepper.to_linear of
+that.
 
 simulate returns plain u (snapshots, and the traces extract_level reads off
 them); Stepper.step_values takes one step of a plain-u state.
@@ -201,18 +201,6 @@ def _stencil_rho(h: float) -> float:
     return (2.0 * math.sinh(0.5 * h) / h) ** 2
 
 
-def fitted_stencil(dxi: float) -> tuple[float, float, float]:
-    """3-point stencil for the full linear part u'' + 2u' + u, conjugate of
-    the symmetric weighted-field stencil: exact on the e^{-xi} Jordan block
-    and on constants (u = 1 balance): (c_minus, c_0, c_plus)."""
-    h = dxi
-    rho = _stencil_rho(h)
-    cm = math.exp(-h) / (rho * h * h)
-    cp = math.exp(h) / (rho * h * h)
-    c0 = -2.0 / (rho * h * h)
-    return cm, c0, cp
-
-
 class Stepper:
     """Prefactorized IMEX stepper on a fixed grid (see the module docstring).
 
@@ -298,24 +286,17 @@ class Stepper:
         return self.to_linear(self.step_weighted(self.to_weighted(u)))
 
 
-def front_data_log_weighted(xi, k: float, amplitude: float) -> np.ndarray:
-    """ln(e^{xi} u0) for the front-like datum u0: 1 on xi <= 0, the
-    A xi^k e^{-xi} tail (capped at 1) from xi = 1 on, and a log-linear bridge
-    on (0, 1).  The one definition of the datum; the simulator and the
-    whole-line heat oracle both derive from it.  Weighted log space keeps the
-    tail polynomial-sized where u0 underflows doubles, and avoids the
-    cancellation of xi against ln u0 ~ -xi."""
-    xi = np.asarray(xi, dtype=float)
-    ln_a = math.log(amplitude)
-    bridge = (1.0 + min(0.0, ln_a - 1.0)) * xi
-    tail = np.minimum(xi, ln_a + k * np.log(np.maximum(xi, 1.0)))
-    return np.where(xi <= 0.0, xi, np.where(xi < 1.0, bridge, tail))
-
-
 def init_front_data_weighted(config: SimConfig) -> np.ndarray:
-    """Weighted image e^{xi} u0, polynomial-sized where u0 underflows."""
+    """Weighted image e^{xi} u0 of the front-like datum u0: 1 on xi <= 0, the
+    A xi^k e^{-xi} tail (capped at 1) from xi = 1 on, and a log-linear bridge
+    on (0, 1).  Built as the exp of ln(e^{xi} u0): weighted log space keeps
+    the tail polynomial-sized where u0 underflows doubles, and avoids the
+    cancellation of xi against ln u0 ~ -xi."""
     xi = config.xi_min + config.dxi * np.arange(config.n_nodes)
-    return np.exp(front_data_log_weighted(xi, config.k, config.amplitude))
+    ln_a = math.log(config.amplitude)
+    bridge = (1.0 + min(0.0, ln_a - 1.0)) * xi
+    tail = np.minimum(xi, ln_a + config.k * np.log(np.maximum(xi, 1.0)))
+    return np.exp(np.where(xi <= 0.0, xi, np.where(xi < 1.0, bridge, tail)))
 
 
 def extract_level(state: GridFunction, t: float, m: float) -> float:
@@ -334,20 +315,6 @@ def extract_level(state: GridFunction, t: float, m: float) -> float:
     else:
         frac = (u[i] - m) / (u[i] - u[i + 1])
     return xi_i + state.dxi * frac + 2.0 * t
-
-
-def discrete_residual(prev: GridFunction, next_state: GridFunction, t: float, dt: float) -> GridFunction:
-    """Scheme-consistent residual on interior nodes: the full linear operator
-    (diffusion + advection + linear reaction, via the fitted stencil) at the
-    new time level, the quadratic sink at the old one, matching the IMEX
-    split; zero to rounding on states produced by the stepper."""
-    if not prev.same_grid(next_state):
-        raise DomainError("residual needs matching grids")
-    cm, c0, cp = fitted_stencil(prev.dxi)
-    un, up = next_state.values, prev.values
-    lin = cm * un[:-2] + c0 * un[1:-1] + cp * un[2:]
-    res = (un[1:-1] - up[1:-1]) / dt - lin + up[1:-1] * up[1:-1]
-    return GridFunction(prev.xi0 + prev.dxi, prev.dxi, res)
 
 
 def _output_times(config: SimConfig) -> tuple[list[float], list[float]]:

@@ -222,6 +222,10 @@ def w_ode_oracle(r: float, y_max: float, n: int) -> GridFunction:
     if not 0.0 < y_max < math.inf:
         raise DomainError(f"y_max must be positive and finite, got {y_max}")
     h = y_max / n
+    # the stiff rate of the w equation is about y/2, and RK4 is stable on the
+    # negative real axis only up to h * rate = 2.785
+    if 0.5 * h * y_max > 2.785:
+        raise DomainError(f"step {h:g} is past RK4's stability bound at y_max = {y_max:g}")
     c = r - 0.5
     size = math.isqrt(n - 1) + 1
     blocks = -(-n // size)

@@ -34,6 +34,19 @@ def test_report_needs_a_verdict():
         VerificationReport(name="x", domain={}, worst_signed_residual=0.0)
 
 
+@pytest.mark.parametrize("sense", ["super", "sub"])
+@pytest.mark.parametrize("rows,first_nan", [
+    # a NaN must not hide its row's real worst value, -5 at t = 2
+    ({1.0: [1.0, 2.0], 2.0: [math.nan, -5.0], 3.0: [-7.0, math.nan]}, (2.0, 0.0)),
+    # nor let a scan whose every row holds one pass with worst +-inf
+    ({1.0: [math.nan, -5.0], 2.0: [3.0, math.nan]}, (1.0, 0.0)),
+])
+def test_nan_residual_fails_the_sign_scan(sense, rows, first_nan):
+    worst, worst_at, verdict = ansatz._sign_scan(
+        list(rows), lambda t: (np.array(rows[t]), np.array([0.0, 1.0])), sense)
+    assert math.isnan(worst) and worst_at == first_nan and verdict == "fail"
+
+
 class TestPsiEval:
     def test_zero_at_boundary(self):
         for r, rp, t in [(0.5, 0.5, 3.0), (-1.0, 0.0, 7.0), (1.0, -1.0, 2.0)]:

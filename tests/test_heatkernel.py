@@ -1,12 +1,11 @@
-"""Dirichlet and whole-line heat quadrature: asymptotic densities, gradient
-bound, weighted sups, and the kernel-form cross checks."""
+"""Half-line Dirichlet heat quadrature: asymptotic densities, gradient bound,
+weighted sups, and the kernel-form cross checks."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc
 
 from kppfront import DomainError, NumericsError
 from kppfront.heatkernel import (
@@ -18,7 +17,6 @@ from kppfront.heatkernel import (
     v_dirichlet,
     v_dirichlet_dx,
     v_dirichlet_sinh_form,
-    v_wholeline_kpp_log,
     verify_weighted_sup_exponent,
     verify_midrange_band,
 )
@@ -164,39 +162,6 @@ class TestMidrangeBand:
     def test_rejects_small_t(self):
         with pytest.raises(DomainError):
             verify_midrange_band(50.0)
-
-
-class TestWholeLine:
-    @pytest.mark.parametrize("t,x", [(0.5, -1.0), (3.0, 1.7), (10.0, 25.0), (50.0, 80.0),
-                                     (400.0, 820.0)])
-    def test_exact_solution_k0_a1(self, t, x):
-        # k = 0, A = 1 gives u0 = min(1, e^{-y}) exactly, bridge included, and
-        # e^t G * u0 = e^t [erfc(x/2 sqrt t) + e^{t-x} erfc((2t - x)/2 sqrt t)] / 2
-        s = 2.0 * math.sqrt(t)
-        exact = t + math.log(0.5 * (erfc(x / s) + math.exp(t - x) * erfc((2.0 * t - x) / s)))
-        ln_v, _, _ = v_wholeline_kpp_log(t, x, 0.0, 1.0)
-        assert abs(ln_v - exact) <= 1e-12
-
-    def test_limit_constant_k2_c1(self):
-        k, c, A, t = 2.0, 1.0, 1.0, 400.0
-        x = 2.0 * t + c * math.sqrt(t)
-        ln_v, _, _ = v_wholeline_kpp_log(t, x, k, A)
-        ratio = math.exp(ln_v - 0.5 * k * math.log(t) + c * math.sqrt(t))
-        limit = (A / math.sqrt(math.pi)) * quad(
-            lambda z: (2.0 * z + c) ** k * math.exp(-z * z), -c / 2.0, 50.0
-        )[0]
-        np.testing.assert_allclose(ratio, limit, rtol=0.2)
-
-    def test_ratio_bounded_across_decades(self):
-        k, c, A = 2.0, 1.0, 1.0
-        limit = (A / math.sqrt(math.pi)) * quad(
-            lambda z: (2.0 * z + c) ** k * math.exp(-z * z), -c / 2.0, 50.0
-        )[0]
-        for t in (1e2, 1e3, 1e4, 1e5, 1e6):
-            x = 2.0 * t + c * math.sqrt(t)
-            ln_v, _, _ = v_wholeline_kpp_log(t, x, k, A)
-            ratio = math.exp(ln_v - 0.5 * k * math.log(t) + c * math.sqrt(t))
-            assert ratio <= 2.0 * limit
 
 
 class TestWeightedSup:

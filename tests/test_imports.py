@@ -1,8 +1,9 @@
 """Every name a module of the package or of the test suite imports is used
-in that module, every dataclass field is read somewhere in the package or
-the benchmark, no module keeps a cache other than the two wave-profile
-builds, the package exports exactly the names its __init__ imports, and no
-certificate takes a parameter with a default.
+in that module, every dataclass field and every function, class and method
+is read somewhere in the package, the benchmark or the acceptance tests, no
+module keeps a cache other than the two wave-profile builds, the package
+exports exactly the names its __init__ imports, and no certificate takes a
+parameter with a default.
 
 The package's __init__ imports names only to re-export them, so it is
 exempt from the unused-import check.  Uses are found with the stdlib ast
@@ -14,6 +15,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,6 +84,52 @@ def test_every_dataclass_field_is_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     readers = sources + [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
     assert unread_fields(sources, readers) == []
+
+
+def unread_definitions(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """module.name of each top-level def and class in `sources` (module name
+    to text), and module.Class.method of each of their methods not named
+    __*, that no module of `readers` loads (`name` or `obj.name`) outside
+    the definition itself."""
+    def loads(tree) -> Counter:
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute))
+                       and isinstance(node.ctx, ast.Load))
+
+    loaded = sum((loads(ast.parse(text)) for text in readers), Counter())
+    unread = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(f"{module}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{module}.{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+            unread += [name for name, d in defs if loaded[d.name] <= loads(d)[d.name]]
+    return sorted(unread)
+
+
+def test_definition_checker_flags_an_unread_definition():
+    # f reads itself only, C.m is never read, __len__ is exempt
+    source = ("def f(n):\n    return f(n - 1) if n else 0\n"
+              "def g():\n    return 1\n"
+              "class C:\n    def m(self):\n        return C\n"
+              "    def __len__(self):\n        return 0\n"
+              "print(g(), C)\n")
+    assert unread_definitions({"mod": source}, [source]) == ["mod.C.m", "mod.f"]
+
+
+def test_every_definition_has_a_program_reader():
+    # a function only its own unit tests call is a second numerical route
+    # that no run takes; the acceptance tests, which run the paper's
+    # criteria, count as a program
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = (list(sources.values())
+               + [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+               + [(Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")])
+    assert unread_definitions(sources, readers) == []
 
 
 def test_all_exports_resolve():

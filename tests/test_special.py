@@ -299,6 +299,10 @@ class TestOdeOracle:
             w_ode_oracle(0.5, 10.0, 50)
         with pytest.raises(DomainError):
             w_ode_oracle(0.5, -1.0, 1000)
+        # h y_max / 2 = 12.5, past RK4's real-axis stability bound 2.785:
+        # the steps would return values of order 1e130
+        with pytest.raises(DomainError, match="stability"):
+            w_ode_oracle(0.5, 50.0, 100)
 
     @pytest.mark.parametrize("r, y_max", [(0.5, math.inf), (math.nan, 10.0),
                                           (math.inf, 10.0), (0.5, math.nan)])
