@@ -19,7 +19,7 @@ from .errors import DomainError
 from .frontfit import drift_target
 from .heatkernel import VERIFY_TOL
 from .report import VerificationReport
-from .special import _exp_neg, _log, _pow, w_eval, w_prime_eval
+from .special import w_eval, w_prime_eval
 from .waves import minimal_wave, phi_gamma
 
 SIGN_TOL = 1e-12
@@ -41,6 +41,21 @@ PHI_GRID = (24, 120)
 CRITICAL_T_MAX = 1e8
 CRITICAL_SUB_GRID = (10, 8)
 CRITICAL_SUPER_GRID = (8, 8)
+
+
+# exp, log and the power are taken per element as Python floats: numpy's
+# vectorised versions differ from libm in the last ulp on some CPUs, and each
+# element of psi must equal its one-point evaluation.
+def _exp_neg(z: np.ndarray) -> np.ndarray:
+    return np.array([math.exp(-v) for v in z.tolist()])
+
+
+def _log(t: np.ndarray) -> np.ndarray:
+    return np.array([math.log(v) for v in t.tolist()])
+
+
+def _pow(y: np.ndarray, p: float) -> np.ndarray:
+    return np.array([v ** p for v in y.tolist()])
 
 
 def psi_eval(r: float, r_prime: float, t, z):

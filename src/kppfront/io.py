@@ -48,7 +48,11 @@ def read_csv_columns(path) -> dict[str, list]:
     if not lines:
         raise ValueError(f"{path}: empty CSV")
     header = [h.strip() for h in lines[0].split(",")]
-    cols: dict[str, list] = {h: [] for h in header}
+    cols: dict[str, list] = {}
+    for h in header:
+        if h in cols:
+            raise ValueError(f"{path}: column {h!r} appears twice in the header")
+        cols[h] = []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
@@ -62,7 +66,8 @@ def read_csv_columns(path) -> dict[str, list]:
 
 
 def load_key_value_config(path) -> dict[str, str]:
-    """Flat UTF-8 ``key = value`` lines; '#' starts a comment; blank lines skipped."""
+    """Flat UTF-8 ``key = value`` lines; '#' starts a comment; blank lines
+    skipped; a key given twice is an error."""
     out: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -71,6 +76,8 @@ def load_key_value_config(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out

@@ -65,6 +65,16 @@ class TestSimulateCommand:
         assert rc == 1
         assert "bad config" in capsys.readouterr().err
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        # the second value would otherwise silently win
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("k = 1\nt_end = 2\nk = 3\n", encoding="utf-8")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad config: ") and f"{cfg}:3: duplicate key 'k'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 1
@@ -141,6 +151,15 @@ class TestFitCommand:
         bad.write_text("a,b\n1,2\n", encoding="utf-8")
         assert main(["fit", str(bad)]) == 1
         assert "malformed" in capsys.readouterr().err
+
+    def test_repeated_column_rejected(self, tmp_path, capsys):
+        # both t cells would land in one column twice the length of x_m
+        bad = tmp_path / "dup.csv"
+        bad.write_text("t,x_m,t\n" + "".join(f"{i},{2 * i},{i}\n" for i in range(1, 5)),
+                       encoding="utf-8")
+        assert main(["fit", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"malformed trace CSV: {bad}: ") and err.count("\n") == 1
 
 
 # (check, domain) of every row each suite writes, in order: a dropped check or
@@ -248,8 +267,9 @@ class TestReportCommand:
         assert main(["report", str(tmp_path / "absent")]) == 1
 
     @pytest.mark.parametrize("text", ["", "estimator,r_hat\nlog,0.5\n",
-                                      "coefficient,r_hat,residual_max\n"],
-                             ids=["empty", "no_coefficient", "no_rows"])
+                                      "coefficient,r_hat,residual_max\n",
+                                      "coefficient,r_hat,residual_max,r_hat\nr,0.5,0.001,0.7\n"],
+                             ids=["empty", "no_coefficient", "no_rows", "repeated_column"])
     def test_malformed_fit_csv(self, tmp_path, capsys, text):
         sim_dir = tmp_path / "rundir" / "k1"
         sim_dir.mkdir(parents=True)
@@ -274,8 +294,9 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("malformed manifest: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("text", ["", "check,domain\npsi_super_r1,t=[4]\n"],
-                             ids=["empty", "no_verdict"])
+    @pytest.mark.parametrize("text", ["", "check,domain\npsi_super_r1,t=[4]\n",
+                                      "check,verdict,check\npsi_super_r1,pass,x\n"],
+                             ids=["empty", "no_verdict", "repeated_column"])
     def test_malformed_verify_csv(self, tmp_path, capsys, text):
         (tmp_path / "verify_heat.csv").write_text(text, encoding="utf-8")
         assert main(["report", str(tmp_path)]) == 1

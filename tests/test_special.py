@@ -1,5 +1,6 @@
-"""Special-function layer: Kummer's 1F1 series and the self-similar profile
-w, certified against the fixed-step ODE oracle and closed forms."""
+"""Special-function layer: the self-similar profile w through Kummer's 1F1,
+certified against the fixed-step ODE oracle, closed forms and frozen
+high-precision values."""
 
 import math
 from fractions import Fraction
@@ -9,13 +10,13 @@ import pytest
 
 from kppfront import (
     DomainError,
+    NumericsError,
     ansatz,
     w_asymptotic_constant,
     w_eval,
     w_ode_oracle,
     w_prime_eval,
 )
-from kppfront.special import CROSSOVER_Z, _asymptotic_tail, kummer_1f1_series
 
 R_FAMILY = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.25)
 
@@ -31,38 +32,50 @@ def oracle_1f1_exact_rational(a: Fraction, b: Fraction, z: Fraction, terms: int 
     return float(total)
 
 
+# (r, y, w, w') frozen from 40-digit mpmath: y hyp1f1(r, 3/2, -y^2/4) and its
+# y-derivative; y = 2 sqrt(30) is where the hand-rolled series used to hand
+# over to the asymptotic expansion
+MPMATH_TABLE = (
+    (1.0, 2.0 * math.sqrt(30.0), 0.1857836665513029, -0.017579049861666186),
+    (1.0, 20.0, 0.10050769437519706, -0.005076943751970561),
+    (1.0, 50.0, 0.04003207710893281, -0.0008019277233204113),
+    (1.25, 2.0 * math.sqrt(30.0), 0.039416587252683224, -0.005648705606490066),
+    (1.25, 20.0, 0.015607317886846097, -0.0011856396885481144),
+    (1.25, 50.0, 0.003916849284149308, -0.00011774162538607667),
+)
+
+
 class TestKummer:
-    def test_series_constant_term(self):
-        for a, b in [(0.3, 1.5), (2.0, 0.7), (-1.2, 3.0)]:
-            assert kummer_1f1_series(a, b, 0.0) == 1.0
+    """w(y; r) = y 1F1(r, 3/2, -y^2/4) against values known independently."""
 
     def test_exponential_reduction(self):
-        np.testing.assert_allclose(kummer_1f1_series(1.5, 1.5, 2.0), math.exp(2.0), rtol=1e-14)
+        # 1F1(a, a, -z) = e^{-z}: r = 3/2 is the gaussian y e^{-y^2/4}, also
+        # far out, where it underflows to 0
+        for y in (2.0, 40.0, 1e7, 1e30):
+            e = math.exp(-0.25 * y * y)
+            np.testing.assert_allclose(w_eval(1.5, y), y * e, rtol=1e-14)
+            np.testing.assert_allclose(w_prime_eval(1.5, y), (1.0 - 0.5 * y * y) * e, rtol=1e-14)
 
     def test_frozen_exact_rational_oracle(self):
         # frozen from oracle_1f1_exact_rational(1/2, 3/2, 5); the erfi identity
-        # sqrt(pi) erfi(sqrt z)/(2 sqrt z) reproduces the same digits
+        # sqrt(pi) erfi(sqrt z)/(2 sqrt z) reproduces the same digits.  Kummer's
+        # transformation makes w(2 sqrt 5; 1) = 2 sqrt 5 e^{-5} 1F1(1/2, 3/2, 5)
         frozen = 17.17215777384149
         live = oracle_1f1_exact_rational(Fraction(1, 2), Fraction(3, 2), Fraction(5))
         np.testing.assert_allclose(live, frozen, rtol=1e-15)
-        np.testing.assert_allclose(kummer_1f1_series(0.5, 1.5, 5.0), frozen, rtol=1e-13)
+        y = 2.0 * math.sqrt(5.0)
+        np.testing.assert_allclose(w_eval(1.0, y), y * math.exp(-5.0) * frozen, rtol=1e-13)
 
     def test_terminating_polynomial(self):
-        # a = -2: 1F1(-2, b, z) = 1 - 2z/b + z^2/(b(b+1))
-        b, z = 1.5, 7.0
-        expected = 1.0 - 2.0 * z / b + z * z / (b * (b + 1.0))
-        np.testing.assert_allclose(kummer_1f1_series(-2.0, b, z), expected, rtol=1e-13)
+        # r = -1: 1F1(-1, 3/2, -z) = 1 + 2z/3, so w = y + y^3/6
+        for y in (0.5, 3.0, 7.0, 40.0):
+            np.testing.assert_allclose(w_eval(-1.0, y), y + y**3 / 6.0, rtol=1e-13)
+            np.testing.assert_allclose(w_prime_eval(-1.0, y), 1.0 + y * y / 2.0, rtol=1e-13)
 
-    @pytest.mark.parametrize("r", R_FAMILY)
-    def test_series_asymptotic_crossover_agreement(self, r):
-        # w_eval takes the asymptotic branch from CROSSOVER_Z on; its series
-        # branch y e^{-z} 1F1(a, 3/2, z) must agree with it past the switch
-        a = 1.5 - r
-        for z in np.linspace(CROSSOVER_Z, CROSSOVER_Z + 10.0, 9):
-            y = 2.0 * math.sqrt(z)
-            zy = 0.25 * y * y
-            series = y * math.exp(-zy) * kummer_1f1_series(a, 1.5, zy)
-            np.testing.assert_allclose(w_eval(r, y), series, rtol=1e-8)
+    @pytest.mark.parametrize("r, y, w, wp", MPMATH_TABLE)
+    def test_frozen_mpmath_table(self, r, y, w, wp):
+        np.testing.assert_allclose(w_eval(r, y), w, rtol=1e-13)
+        np.testing.assert_allclose(w_prime_eval(r, y), wp, rtol=1e-13)
 
     @pytest.mark.parametrize("z", [50.0, 120.0, 300.0])
     def test_leading_asymptotic_form_within_1pct(self, z):
@@ -73,19 +86,21 @@ class TestKummer:
 
 
 class TestKummerPrime:
-    """d/dz 1F1(a, b, z) = (a/b) 1F1(a+1, b+1, z), the series form of which
-    w_prime_eval uses below CROSSOVER_Z."""
+    """d/dz 1F1(a, b, z) = (a/b) 1F1(a+1, b+1, z), which w_prime_eval uses."""
 
     def test_at_zero(self):
-        assert (1.5 / 1.5) * kummer_1f1_series(2.5, 2.5, 0.0) == 1.0
-        np.testing.assert_allclose((0.5 / 1.5) * kummer_1f1_series(1.5, 2.5, 0.0), 1.0 / 3.0, rtol=1e-15)
+        # the equation gives w(0) = w''(0) = 0 and a third derivative -r at 0,
+        # so w'(y) = 1 - r y^2/2 + O(y^4)
+        y = 1e-3
+        for r in R_FAMILY + (1.5,):
+            np.testing.assert_allclose(w_prime_eval(r, y), 1.0 - 0.5 * r * y * y, rtol=1e-12)
 
     def test_matches_finite_difference(self):
-        a, b, z = 0.5, 1.5, 4.0
-        exact = (a / b) * kummer_1f1_series(a + 1.0, b + 1.0, z)
+        r, y = 1.25, 2.0 * math.sqrt(30.0)
+        exact = w_prime_eval(r, y)
         prev = None
         for h in (1e-3, 5e-4, 2.5e-4):
-            fd = (kummer_1f1_series(a, b, z + h) - kummer_1f1_series(a, b, z - h)) / (2 * h)
+            fd = (w_eval(r, y + h) - w_eval(r, y - h)) / (2 * h)
             if prev is not None:
                 assert abs(fd - exact) <= abs(prev - exact) + 1e-12
             prev = fd
@@ -119,6 +134,18 @@ class TestProfileW:
             w_eval(1.6, 1.0)
         with pytest.raises(DomainError):
             w_prime_eval(2.0, 1.0)
+
+    @pytest.mark.parametrize("r", [-math.inf, math.nan])
+    @pytest.mark.parametrize("f", [w_eval, w_prime_eval])
+    def test_non_finite_r_rejected(self, f, r):
+        # 1F1 would return NaN for either
+        with pytest.raises(DomainError, match="finite"):
+            f(r, 1.0)
+
+    def test_non_finite_value_fails_loudly(self):
+        # w(y; -1) = y + y^3/6 overflows past y ~ 1e103
+        with pytest.raises(NumericsError):
+            w_eval(-1.0, np.array([1.0, 1e110]))
 
     @pytest.mark.parametrize("r", R_FAMILY)
     def test_positive_far_out(self, r):
@@ -154,43 +181,13 @@ class TestProfileWPrime:
         assert abs(w_prime_eval(r, y) / w_eval(r, y)) <= 0.05
 
 
-def series_one_point(a, b, z):
-    """One-point loop of the 1F1 power series: each element of the array
-    route must stop at the same term and give the same sum."""
-    term = total = 1.0
-    n = 0
-    while True:
-        term *= (a + n) / (b + n) * z / (n + 1)
-        total += term
-        if (abs(term) <= 1e-17 * abs(total) and n > 3) or term == 0.0:
-            return total
-        n += 1
-
-
-def tail_one_point(a, b, z):
-    """One-point loop of the asymptotic tail S(z), truncated at its smallest term."""
-    term = total = 1.0
-    prev = math.inf
-    for n in range(int(z) + 2):
-        term *= (b - a + n) * (1.0 - a + n) / ((n + 1) * z)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total
-
-
 class TestArrayRoute:
     """w_eval and w_prime_eval take a float or an array; every element equals
     the one-point evaluation bit for bit."""
 
-    Y_CROSS = 2.0 * math.sqrt(CROSSOVER_Z)
     GRIDS = {
         "psi_grid": np.linspace(0.0, ansatz.Y_MAX, ansatz.PSI_GRID[1]),
         "constants_grid": np.arange(ansatz.DELTA_SCAN_STEP, ansatz.Y_MAX + 1e-9, 1e-2),
-        "crossover_window": Y_CROSS + np.linspace(-1e-3, 1e-3, 401),
         "ends": np.array([0.0, 1e4]),
     }
 
@@ -201,15 +198,6 @@ class TestArrayRoute:
             got = f(r, ys)
             want = np.array([f(r, float(y)) for y in ys])
             assert got.tobytes() == want.tobytes(), name
-
-    @pytest.mark.parametrize("a, b", [(0.5, 1.5), (2.5, 2.5), (-0.25, 1.5), (-2.0, 1.5)])
-    def test_recurrences_match_one_point_loops(self, a, b):
-        zs = np.linspace(0.0, 40.0, 801)
-        assert kummer_1f1_series(a, b, zs).tobytes() == \
-            np.array([series_one_point(a, b, z) for z in zs.tolist()]).tobytes()
-        zs = np.concatenate([np.linspace(CROSSOVER_Z, 700.0, 801), [2.5e7]])
-        assert _asymptotic_tail(a, b, zs).tobytes() == \
-            np.array([tail_one_point(a, b, z) for z in zs.tolist()]).tobytes()
 
     @pytest.mark.parametrize("r", [0.5, 1.5])
     @pytest.mark.parametrize("y", [0.0, 1.0, 100.0])
