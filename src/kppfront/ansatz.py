@@ -43,37 +43,24 @@ CRITICAL_SUB_GRID = (10, 8)
 CRITICAL_SUPER_GRID = (8, 8)
 
 
-# exp, log and the power are taken per element as Python floats: numpy's
-# vectorised versions differ from libm in the last ulp on some CPUs, and each
-# element of psi must equal its one-point evaluation.
-def _exp_neg(z: np.ndarray) -> np.ndarray:
-    return np.array([math.exp(-v) for v in z.tolist()])
-
-
-def _log(t: np.ndarray) -> np.ndarray:
-    return np.array([math.log(v) for v in t.tolist()])
-
-
-def _pow(y: np.ndarray, p: float) -> np.ndarray:
-    return np.array([v ** p for v in y.tolist()])
-
-
 def psi_eval(r: float, r_prime: float, t, z):
     """psi(t, z) = e^{-z} t^{1/2 + r' - r} w(z / sqrt t), elementwise over
-    floats or 1-d arrays t, z of one length, like w_eval."""
+    floats or 1-d arrays t, z of one length, like w_eval.  A float goes
+    through the same ufuncs as a one-element array, so each element of an
+    array evaluation equals its one-point value."""
     ts, zs = np.atleast_1d(t).astype(float), np.atleast_1d(z).astype(float)
     if not np.all(ts > 0.0):
         raise DomainError("psi needs t > 0")
     if np.any(zs < 0.0):
         raise DomainError("psi is defined on z >= 0")
-    psi = _exp_neg(zs) * _pow(ts, 0.5 + r_prime - r) * w_eval(r, zs / np.sqrt(ts))
+    psi = np.exp(-zs) * ts ** (0.5 + r_prime - r) * w_eval(r, zs / np.sqrt(ts))
     return float(psi[0]) if np.ndim(z) == 0 else psi
 
 
 def _moving_frame_ansatz(r: float, r_prime: float):
     """u(t, x) = psi(t, x - 2t + r' ln t) over arrays; defined on z >= 0, so
     stencils must stay inside the support."""
-    return lambda t, x: psi_eval(r, r_prime, t, x - 2.0 * t + r_prime * _log(t))
+    return lambda t, x: psi_eval(r, r_prime, t, x - 2.0 * t + r_prime * np.log(t))
 
 
 def _linear_residual_fd(u, t, x, h_t, h_x):
@@ -107,8 +94,8 @@ def check_linear_residual_identity(r: float, r_prime: float) -> VerificationRepo
     Each stencil point is evaluated for all samples in one array call."""
     u = _moving_frame_ansatz(r, r_prime)
     t, z = np.array(IDENTITY_SAMPLES).T
-    x = z + 2.0 * t - r_prime * _log(t)
-    closed = r_prime * _exp_neg(z) * _pow(t, -(1.0 + r - r_prime)) * w_prime_eval(r, z / np.sqrt(t))
+    x = z + 2.0 * t - r_prime * np.log(t)
+    closed = r_prime * np.exp(-z) * t ** -(1.0 + r - r_prime) * w_prime_eval(r, z / np.sqrt(t))
     # the t-stencil moves z at rate ~2 through the frame drift, so h_t is
     # sized to the z-scale (not to t) and kept clear of the z = 0 edge
     h_t = np.minimum(2.5e-3, z / 10.0)
@@ -144,25 +131,24 @@ def _t_grid(t0: float, t_max: float, n_t: int) -> np.ndarray:
     return np.geomspace(t0, t_max, n_t)
 
 
-def _sign_scan(ts, signed_at, sense: str):
-    """Worst normalized residual of a sign condition over the t grid.
+def _sign_scan(ts, points, signed, sense: str):
+    """Worst normalized residual of a sign condition over a (t, point) grid.
 
-    signed_at(t) returns the normalized signed residuals at one t and the
-    sample points they sit at.  sense is "super" (residual >= 0: the worst is
-    the minimum) or "sub" (residual <= 0: the worst is the maximum).  Returns
-    (worst, worst_at, verdict): worst_at is the first (t, point) attaining the
-    worst, and the verdict allows SIGN_TOL of the wrong sign.  A NaN residual
-    fails the scan at once, with worst NaN at its first (t, point)."""
+    signed is the array of normalized signed residuals, one row per t in ts;
+    points holds the sample points, 1-d when every t shares them or one row
+    per t.  sense is "super" (residual >= 0: the worst is the minimum) or
+    "sub" (residual <= 0: the worst is the maximum).  Returns
+    (worst, worst_at, verdict): worst_at is the first (t, point) in row order
+    attaining the worst, and the verdict allows SIGN_TOL of the wrong sign.  A
+    NaN residual fails the scan, with worst NaN at its first (t, point)."""
     flip = 1.0 if sense == "super" else -1.0  # the worst is the minimum of flip * residual
-    worst, worst_at = math.inf, None
-    for t in ts:
-        signed, points = signed_at(t)
-        flipped = flip * np.asarray(signed)
-        i = int(np.argmin(flipped))  # the first NaN, if there is one
-        if math.isnan(flipped[i]):
-            return math.nan, (float(t), float(points[i])), "fail"
-        if flipped[i] < worst:
-            worst, worst_at = float(flipped[i]), (float(t), float(points[i]))
+    flipped = flip * np.asarray(signed)
+    # argmin takes the first minimum in row order, or the first NaN
+    i, j = np.unravel_index(np.argmin(flipped), flipped.shape)
+    worst = float(flipped[i, j])
+    worst_at = (float(ts[i]), float(np.broadcast_to(points, flipped.shape)[i, j]))
+    if math.isnan(worst):
+        return math.nan, worst_at, "fail"
     return flip * worst, worst_at, "pass" if worst >= -SIGN_TOL else "fail"
 
 
@@ -195,12 +181,9 @@ def check_supersolution(r: float) -> VerificationReport:
     w_arr = w_eval(r, ys)
     wp_arr = w_prime_eval(r, ys)
     scale = np.maximum(abs(r_prime) * np.abs(wp_arr) + 0.5 * M * w_arr, 1e-300)
-
-    def signed_at(t):
-        bracket = (1.0 - M / math.sqrt(t)) * r_prime * wp_arr + 0.5 * M * w_arr
-        return bracket / scale, ys
-
-    worst, worst_at, verdict = _sign_scan(_t_grid(t0, T_MAX, n_t), signed_at, "super")
+    ts = _t_grid(t0, T_MAX, n_t)
+    bracket = (1.0 - M / np.sqrt(ts)[:, None]) * r_prime * wp_arr + 0.5 * M * w_arr
+    worst, worst_at, verdict = _sign_scan(ts, ys, bracket / scale, "super")
     return VerificationReport(
         name=f"psi_super_r{r:g}",
         domain=_psi_domain(t0, n_t, n_y),
@@ -248,19 +231,17 @@ def check_subsolution(r: float) -> VerificationReport:
     ys = np.linspace(0.0, Y_MAX, n_y)
     w_arr = w_eval(r, ys)
     wp_arr = w_prime_eval(r, ys)
-
-    def signed_at(t):
-        damp = 1.0 + M / math.sqrt(t)
-        with np.errstate(under="ignore"):
-            quad_term = damp * eps * np.exp(-ys * math.sqrt(t)) * w_arr**2
-        braced = -0.5 * M * w_arr + damp * (r_prime * wp_arr + quad_term)
-        scale = np.maximum(
-            0.5 * M * w_arr + damp * (abs(r_prime) * np.abs(wp_arr) + quad_term),
-            1e-300,
-        )
-        return braced / scale, ys
-
-    worst, worst_at, verdict = _sign_scan(_t_grid(t0, T_MAX, n_t), signed_at, "sub")
+    ts = _t_grid(t0, T_MAX, n_t)
+    sqrt_t = np.sqrt(ts)[:, None]
+    damp = 1.0 + M / sqrt_t
+    with np.errstate(under="ignore"):
+        quad_term = damp * eps * np.exp(-ys * sqrt_t) * w_arr**2
+    braced = -0.5 * M * w_arr + damp * (r_prime * wp_arr + quad_term)
+    scale = np.maximum(
+        0.5 * M * w_arr + damp * (abs(r_prime) * np.abs(wp_arr) + quad_term),
+        1e-300,
+    )
+    worst, worst_at, verdict = _sign_scan(ts, ys, braced / scale, "sub")
     return VerificationReport(
         name=f"psi_sub_r{r:g}",
         domain=_psi_domain(t0, n_t, n_y),
@@ -284,16 +265,16 @@ def check_tw_shift(k: float) -> VerificationReport:
     n_t, n_z = TW_GRID
     zs = np.linspace(max(TW_Z_RANGE[0], wave.z0), min(TW_Z_RANGE[1], wave.z_max), n_z)
     du = wave.derivative(zs)
-
-    def signed_at(t):
-        res = (r / (t + TW_T0)) * du
-        scale = np.maximum(np.abs(r / (t + TW_T0)) * np.abs(du), 1e-300)
-        return (res / scale if r != 0.0 else np.zeros_like(res)), zs
-
+    ts = _t_grid(1.0, T_MAX, n_t)
+    rate = r / (ts[:, None] + TW_T0)
+    # at k = 1 (r = 0) the residual is identically zero and either sense reads
+    # 0; the explicit zeros keep the sign off -0
+    if r != 0.0:
+        signed = rate * du / np.maximum(np.abs(rate) * np.abs(du), 1e-300)
+    else:
+        signed = np.zeros((n_t, n_z))
     kind = "super" if k > 1.0 else "sub" if k < 1.0 else "both"
-    # at k = 1 (r = 0) the residual is identically zero and either sense reads 0
-    worst, _, verdict = _sign_scan(_t_grid(1.0, T_MAX, n_t), signed_at,
-                                   "super" if k > 1.0 else "sub")
+    worst, _, verdict = _sign_scan(ts, zs, signed, "super" if k > 1.0 else "sub")
     return VerificationReport(
         name=f"tw_shift_k{k:g}",
         domain={"t": f"[1, {T_MAX:g}]", "z": f"[{zs[0]:g}, {zs[-1]:g}]",
@@ -323,16 +304,12 @@ def check_phi_eta_sub(r: float) -> VerificationReport:
     ts = _t_grid(PHI_T_MIN, T_MAX, n_t)
     ys = np.linspace(1e-3, 2.0, n_y)  # y = z / sqrt t, domain cap z <= 2 sqrt t
     boost = np.exp(eta * ys)
-
-    def signed_at(t):
-        zs = ys * math.sqrt(t)
-        phis = phi(zs)
-        # the 1/t drift term is (-eta^2 - r)/t = 0 by the construction eta = sqrt(-r)
-        expr = (boost - gamma) * phis
-        scale = np.maximum((gamma - boost) * phis, 1e-300)
-        return expr / scale, zs
-
-    worst, worst_at, verdict = _sign_scan(ts, signed_at, "sub")
+    zs = ys * np.sqrt(ts)[:, None]
+    phis = phi(zs)
+    # the 1/t drift term is (-eta^2 - r)/t = 0 by the construction eta = sqrt(-r)
+    expr = (boost - gamma) * phis
+    scale = np.maximum((gamma - boost) * phis, 1e-300)
+    worst, worst_at, verdict = _sign_scan(ts, zs, expr / scale, "sub")
     min_glue = min((eta / math.sqrt(t)) * phi(0.0) + phi.derivative(0.0) for t in ts)
     return VerificationReport(
         name=f"phi_eta_sub_r{r:g}",
@@ -366,17 +343,15 @@ def check_critical_sub() -> VerificationReport:
     consts = critical_sub_constants()
     M, delta = consts["M"], consts["delta"]
     n_t, n_z = CRITICAL_SUB_GRID
-
-    def signed_at(t):
-        zs = np.geomspace(0.05, max(3.0 * math.log(t + 3.0), 8.0), n_z)
+    ts = _t_grid(1.0, CRITICAL_T_MAX, n_t)
+    zs = np.array([np.geomspace(0.05, max(3.0 * math.log(t + 3.0), 8.0), n_z) for t in ts])
+    signed = np.empty_like(zs)
+    for i, j in np.ndindex(zs.shape):
+        t, z = float(ts[i]), float(zs[i, j])
+        lead = math.exp(-z) * heatkernel.v_dirichlet(t, z, VERIFY_TOL).value
         damp = M / (4.0 * (t + 1.0) ** 1.25)
-        signed = []
-        for z in zs:
-            lead = math.exp(-z) * heatkernel.v_dirichlet(float(t), float(z), VERIFY_TOL).value
-            signed.append((lead - damp) / max(lead + damp, 1e-300))
-        return signed, zs
-
-    worst, worst_at, verdict = _sign_scan(_t_grid(1.0, CRITICAL_T_MAX, n_t), signed_at, "sub")
+        signed[i, j] = (lead - damp) / max(lead + damp, 1e-300)
+    worst, worst_at, verdict = _sign_scan(ts, zs, signed, "sub")
     return VerificationReport(
         name="dirichlet_sub_critical",
         domain={"t": f"[1, {CRITICAL_T_MAX:g}]", "z": "(0, 3 ln t]", "grid": f"{n_t}x{n_z}"},
@@ -394,20 +369,17 @@ def check_critical_super() -> VerificationReport:
     M = 8.0 * heatkernel.gradient_bound_constant()[0]
     t0 = max((2.0 * M) ** 4, 1e3)
     n_t, n_y = CRITICAL_SUPER_GRID
-    ys = np.linspace(0.1, 2.0, n_y)
-
-    def signed_at(t):
-        zs = [float(y * math.sqrt(t)) for y in ys]
-        signed = []
-        for z in zs:
-            v = heatkernel.v_dirichlet(float(t), z, VERIFY_TOL).value
-            dv = heatkernel.v_dirichlet_dx(float(t), z, max(VERIFY_TOL, abs(v) * 1e-7)).value
-            a = (1.5 / t - 1.0 / (t * math.log(t))) * dv
-            b = (M / (4.0 * t**1.25)) / (1.0 - M / t**0.25) * v
-            signed.append((a + b) / max(abs(a) + abs(b), 1e-300))
-        return signed, zs
-
-    worst, worst_at, verdict = _sign_scan(_t_grid(t0, CRITICAL_T_MAX, n_t), signed_at, "super")
+    ts = _t_grid(t0, CRITICAL_T_MAX, n_t)
+    zs = np.linspace(0.1, 2.0, n_y) * np.sqrt(ts)[:, None]
+    signed = np.empty_like(zs)
+    for i, j in np.ndindex(zs.shape):
+        t, z = float(ts[i]), float(zs[i, j])
+        v = heatkernel.v_dirichlet(t, z, VERIFY_TOL).value
+        dv = heatkernel.v_dirichlet_dx(t, z, max(VERIFY_TOL, abs(v) * 1e-7)).value
+        a = (1.5 / t - 1.0 / (t * math.log(t))) * dv
+        b = (M / (4.0 * t**1.25)) / (1.0 - M / t**0.25) * v
+        signed[i, j] = (a + b) / max(abs(a) + abs(b), 1e-300)
+    worst, worst_at, verdict = _sign_scan(ts, zs, signed, "super")
     return VerificationReport(
         name="dirichlet_super_critical",
         domain={"t": f"[{t0:g}, {CRITICAL_T_MAX:g}]", "z": "y sqrt(t), y in [0.1, 2]",

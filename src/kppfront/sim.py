@@ -215,7 +215,10 @@ class Stepper:
         self.n = n
         xi = xi0 + dxi * np.arange(n)
         with np.errstate(under="ignore"):
-            self._weight_down = np.exp(-xi)  # u = weight_down * ub; 0 beyond xi ~ 745
+            self._weight_down = np.exp(-xi)  # u = weight_down * ub
+        # 0 beyond xi ~ 708.4 rather than subnormal: every multiply through a
+        # subnormal operand runs several times slower
+        self._weight_down[self._weight_down < np.finfo(float).tiny] = 0.0
         with np.errstate(over="ignore"):
             self._ceiling = np.exp(xi)  # ub image of u = 1; inf far right is fine for clip
         self._inv_h2 = 1.0 / (_stencil_rho(dxi) * dxi * dxi)

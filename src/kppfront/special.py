@@ -5,9 +5,11 @@ solution is  w(y) = y M(r, 3/2, -z)  with z = y^2/4 and M = 1F1 Kummer's
 function (scipy.special.hyp1f1): Kummer's transformation
 M(a, b, z) = e^z M(b - a, b, -z) (DLMF 13.2.39) of the product form
 y e^{-z} M(3/2 - r, 3/2, z).  M(r, 3/2, -z) decays algebraically in z, so no
-e^z is formed and nothing overflows however large y gets.  w' follows from
-dM/dz = (a/b) M(a + 1, b + 1, z).  An explicit fixed-step 4th-order
-integrator of the same Cauchy problem serves as the independent oracle.
+e^z is formed and nothing overflows however large y gets.  w' solves
+v'' + (y/2) v' + r v = 0 with v(0) = 1, v'(0) = 0, so w'(y) = M(r, 1/2, -z):
+one hyp1f1 call, with no cancelling difference of two.  An explicit
+fixed-step 4th-order integrator of the same Cauchy problem serves as the
+independent oracle.
 
 w_eval and w_prime_eval take a float y, and return a float, or an array of
 y, evaluated elementwise: hyp1f1 is a ufunc, so every element is its
@@ -49,13 +51,19 @@ def _profile_z(r: float, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kummer_neg(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """M(a, b, -z) elementwise.  M(a, a, -z) = e^{-z} (r = 3/2), where
-    hyp1f1 takes time linear in z (8 s at z = 1e12) and is NaN from z = 1e50."""
+    """M(a, b, -z) elementwise.  M(b, b, -z) = e^{-z} and
+    M(b + 1, b, -z) = e^{-z} (1 - z/b) in closed form (r = 1/2 and r = 3/2
+    for w', r = 3/2 for w): there hyp1f1 takes time linear in z (8 s at
+    z = 1e12) and is NaN from z = 1e50."""
     # imported on first use: scipy.special adds 60-90 ms to importing the
     # package, which simulate, fit and report never need
     from scipy.special import hyp1f1
 
-    return np.exp(-z) if a == b else hyp1f1(a, b, -z)
+    if a == b:
+        return np.exp(-z)
+    if a == b + 1.0:
+        return np.exp(-z) * (1.0 - z / b)
+    return hyp1f1(a, b, -z)
 
 
 def _checked(values: np.ndarray, r: float):
@@ -70,13 +78,16 @@ def w_eval(r: float, y):
     """Self-similar profile w(y; r) for r <= 3/2, elementwise over a float or
     array y >= 0; a float y gives a float."""
     ys, z = _profile_z(r, y)
-    return _checked(ys * _kummer_neg(r, 1.5, z), r)
+    # an overflow here (y + y^3/6 at r = -1 past y ~ 1e103) is raised by _checked
+    with np.errstate(over="ignore"):
+        w = ys * _kummer_neg(r, 1.5, z)
+    return _checked(w, r)
 
 
 def w_prime_eval(r: float, y):
     """w'(y; r), elementwise like w_eval; w'(0) = 1 exactly."""
     _, z = _profile_z(r, y)
-    return _checked(_kummer_neg(r, 1.5, z) - (4.0 * r / 3.0) * z * _kummer_neg(r + 1.0, 2.5, z), r)
+    return _checked(_kummer_neg(r, 0.5, z), r)
 
 
 def w_ode_oracle(r: float, y_max: float, n: int) -> GridFunction:

@@ -37,14 +37,41 @@ def test_report_needs_a_verdict():
 @pytest.mark.parametrize("sense", ["super", "sub"])
 @pytest.mark.parametrize("rows,first_nan", [
     # a NaN must not hide its row's real worst value, -5 at t = 2
-    ({1.0: [1.0, 2.0], 2.0: [math.nan, -5.0], 3.0: [-7.0, math.nan]}, (2.0, 0.0)),
+    ([[1.0, 2.0], [math.nan, -5.0], [-7.0, math.nan]], (2.0, 0.0)),
     # nor let a scan whose every row holds one pass with worst +-inf
-    ({1.0: [math.nan, -5.0], 2.0: [3.0, math.nan]}, (1.0, 0.0)),
+    ([[math.nan, -5.0], [3.0, math.nan]], (1.0, 0.0)),
 ])
 def test_nan_residual_fails_the_sign_scan(sense, rows, first_nan):
-    worst, worst_at, verdict = ansatz._sign_scan(
-        list(rows), lambda t: (np.array(rows[t]), np.array([0.0, 1.0])), sense)
+    ts = np.arange(1.0, len(rows) + 1.0)
+    worst, worst_at, verdict = ansatz._sign_scan(ts, np.array([0.0, 1.0]), np.array(rows), sense)
     assert math.isnan(worst) and worst_at == first_nan and verdict == "fail"
+
+
+# per-t points (n_t, n_points), the layout of the critical checks
+PER_T_POINTS = np.array([[10.0, 11.0], [20.0, 21.0], [30.0, 31.0]])
+
+
+@pytest.mark.parametrize("sense,signed,want", [
+    # worst_at is points[i, j] of the first (t, point) in row order attaining
+    # the worst, here tied within and across rows
+    ("super", [[1.0, 2.0], [2.0, -5.0], [-7.0, -7.0]], (-7.0, (3.0, 30.0), "fail")),
+    ("sub", [[1.0, 2.0], [2.0, -5.0], [-7.0, -7.0]], (2.0, (1.0, 11.0), "fail")),
+    ("super", [[1.0, 2.0], [-5.0, math.nan], [math.nan, -7.0]], (math.nan, (2.0, 21.0), "fail")),
+])
+def test_sign_scan_reads_per_t_points(sense, signed, want):
+    worst, worst_at, verdict = ansatz._sign_scan(np.array([1.0, 2.0, 3.0]), PER_T_POINTS,
+                                                 np.array(signed), sense)
+    np.testing.assert_equal(worst, want[0])
+    assert (worst_at, verdict) == want[1:]
+
+
+@pytest.mark.parametrize("wrong_sign,verdict", [(ansatz.SIGN_TOL, "pass"),
+                                                (2.0 * ansatz.SIGN_TOL, "fail")])
+def test_sign_scan_allows_sign_tol(wrong_sign, verdict):
+    ts, points = np.array([1.0]), np.array([0.0, 1.0])
+    signed = np.array([[0.5, -wrong_sign]])
+    assert ansatz._sign_scan(ts, points, signed, "super")[2] == verdict
+    assert ansatz._sign_scan(ts, points, -signed, "sub")[2] == verdict
 
 
 class TestPsiEval:
@@ -60,6 +87,14 @@ class TestPsiEval:
     def test_gaussian_drift_value(self):
         val = psi_eval(1.5, 1.5, 4.0, 2.0)
         np.testing.assert_allclose(val, 2.0 * math.exp(-2.0) * math.exp(-0.25), rtol=1e-12)
+
+    def test_elementwise_identical(self):
+        # each element of an array evaluation is its one-point value, bit for bit
+        rng = np.random.default_rng(3)
+        t, z = rng.uniform(1.0, 100.0, 64), rng.uniform(0.0, 60.0, 64)
+        for r, rp in [(0.5, 0.5), (1.0, -1.0), (1.25, 1.25), (-1.0, 0.0)]:
+            want = np.array([psi_eval(r, rp, float(a), float(b)) for a, b in zip(t, z)])
+            assert psi_eval(r, rp, t, z).tobytes() == want.tobytes()
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -239,6 +239,13 @@ class TestStep:
     def test_marginal_mode_exactly_stationary_critical_grid(self):
         _assert_constant_invariant(10688, 0.1, 0.1)
 
+    def test_no_subnormal_weight_on_critical_grid(self):
+        # the grid reaches xi ~ 1009; e^{-xi} leaves the normal range at
+        # xi ~ 708.4 and must read 0 from there on, not subnormal
+        u = Stepper(10688, 0.1, 0.1, xi0=-60.0).to_linear(np.ones(10688))
+        assert not np.any((u != 0.0) & (np.abs(u) < np.finfo(float).tiny))
+        assert u[-1] == 0.0
+
     @pytest.mark.parametrize("n,dxi,dt,k", [(6644, 0.05, 0.01, 0.0), (10688, 0.1, 0.1, -2.0)])
     def test_matches_full_matrix_oracle(self, n, dxi, dt, k):
         # the eliminated-boundary LDL^T solve against a full n x n solve that

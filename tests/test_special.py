@@ -86,7 +86,22 @@ class TestKummer:
 
 
 class TestKummerPrime:
-    """d/dz 1F1(a, b, z) = (a/b) 1F1(a+1, b+1, z), which w_prime_eval uses."""
+    """w'(y) = 1F1(r, 1/2, -y^2/4), the even solution of
+    v'' + (y/2) v' + r v = 0 with v(0) = 1, which w_prime_eval uses."""
+
+    @pytest.mark.parametrize("r, closed", [
+        # 1F1(b, b, -z) = e^{-z}: exact out where the two-term difference
+        # w_prime_eval used to take read rounding noise of either sign
+        (0.5, lambda y: np.exp(-0.25 * y * y)),
+        # 1F1(b + 1, b, -z) = e^{-z} (1 - z/b)
+        (1.5, lambda y: (1.0 - 0.5 * y * y) * np.exp(-0.25 * y * y)),
+    ], ids=["r0.5", "r1.5"])
+    def test_closed_forms(self, r, closed):
+        ys = np.linspace(9.0, 30.0, 85)
+        np.testing.assert_allclose(w_prime_eval(r, ys), closed(ys), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(w_prime_eval(r, 13.5), closed(13.5), rtol=1e-14, atol=0.0)
+        # hyp1f1 takes time linear in z at these r; the closed form does not
+        assert w_prime_eval(r, 1e7) == 0.0
 
     def test_at_zero(self):
         # the equation gives w(0) = w''(0) = 0 and a third derivative -r at 0,
