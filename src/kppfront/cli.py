@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 3 verification failure.  All outputs are deterministic given the config
 bytes; every command drops a manifest carrying the config digest.
+
+Only cmd_verify imports ansatz and heatkernel, and with them scipy; simulate
+loads what scipy.linalg pulls in, through sim.Stepper.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, ansatz, frontfit, heatkernel, sim
+from . import __version__, frontfit, sim
 from .errors import DomainError, NumericsError
 from .io import atomic_write_text, read_csv_columns, write_csv
 from .report import reports_to_csv
@@ -83,30 +86,28 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _suite_reports(suite: str) -> list:
-    """One suite's certificate reports, in a fixed order (cmd_verify rejects
-    a suite outside SUITES, so the last branch is heat)."""
-    if suite == "supersolutions":
-        return ([ansatz.check_supersolution(r) for r in _R_SET]
-                + [ansatz.check_linear_residual_identity(r, max(r, 0.0)) for r in (0.0, 0.5, 1.0)]
-                + [ansatz.check_tw_shift(k) for k in (1.0, 3.0)])
-    if suite == "subsolutions":
-        return ([ansatz.check_subsolution(r) for r in _R_SET]
-                + [ansatz.check_linear_residual_identity(r, r - 2.0) for r in (0.5, 1.0)]
-                + [ansatz.check_phi_eta_sub(r) for r in (-1.0, -0.25)]
-                + [ansatz.check_tw_shift(0.0)])
-    if suite == "critical":
-        return [ansatz.check_critical_sub(), ansatz.check_critical_super()]
-    return ([heatkernel.verify_midrange_band(t) for t in (1e3, 1e5, 1e7)]
-            + [heatkernel.verify_weighted_sup_exponent(0.1),
-               heatkernel.gradient_bound_constant()[1]])
-
-
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}", file=sys.stderr)
         return EXIT_USAGE
-    reports = _suite_reports(args.suite)
+    # here, not at module level: the other commands never load their scipy
+    from . import ansatz, heatkernel
+
+    if args.suite == "supersolutions":
+        reports = ([ansatz.check_supersolution(r) for r in _R_SET]
+                   + [ansatz.check_linear_residual_identity(r, max(r, 0.0)) for r in (0.0, 0.5, 1.0)]
+                   + [ansatz.check_tw_shift(k) for k in (1.0, 3.0)])
+    elif args.suite == "subsolutions":
+        reports = ([ansatz.check_subsolution(r) for r in _R_SET]
+                   + [ansatz.check_linear_residual_identity(r, r - 2.0) for r in (0.5, 1.0)]
+                   + [ansatz.check_phi_eta_sub(r) for r in (-1.0, -0.25)]
+                   + [ansatz.check_tw_shift(0.0)])
+    elif args.suite == "critical":
+        reports = [ansatz.check_critical_sub(), ansatz.check_critical_super()]
+    else:
+        reports = ([heatkernel.verify_midrange_band(t) for t in (1e3, 1e5, 1e7)]
+                   + [heatkernel.verify_weighted_sup_exponent(0.1),
+                      heatkernel.gradient_bound_constant()[1]])
     out_dir = Path(args.out)
     outputs = [f"verify_{args.suite}.csv"]
     reports_to_csv(reports, out_dir / outputs[0])

@@ -69,6 +69,9 @@ that.
 
 simulate returns plain u (snapshots, and the traces extract_level reads off
 them); Stepper.step_values takes one step of a plain-u state.
+
+dpttrf and dpttrs are imported from scipy.linalg.lapack in Stepper.__init__
+and bound on the instance, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import DomainError, LevelNotAttainedError, NumericsError
 from .grid import GridFunction
@@ -212,6 +214,12 @@ class Stepper:
     def __init__(self, n: int, dxi: float, dt: float, xi0: float = 0.0):
         if n < 3:
             raise DomainError(f"need at least 3 nodes, got {n}")
+        # here, not at module level: scipy.linalg is most of the package's
+        # import time, which every CLI command pays (CHANGES.md)
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
+        self._dpttrf = dpttrf
+        self._dpttrs = dpttrs
         self.n = n
         xi = xi0 + dxi * np.arange(n)
         with np.errstate(under="ignore"):
@@ -237,10 +245,11 @@ class Stepper:
         self._off = dt * self._inv_h2
         with np.errstate(under="ignore"):
             np.multiply(self._weight_down[1:-1], dt, out=self._sink)
+        self._sink[self._sink < np.finfo(float).tiny] = 0.0  # not subnormal, as _weight_down
         self._diag.fill(1.0 + 2.0 * self._off)
         self._sub.fill(-self._off)
-        self._diag, self._sub, info = dpttrf(self._diag, self._sub,
-                                             overwrite_d=1, overwrite_e=1)
+        self._diag, self._sub, info = self._dpttrf(self._diag, self._sub,
+                                                   overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise NumericsError(f"interior matrix not positive definite (dpttrf info={info})")
 
@@ -267,7 +276,7 @@ class Stepper:
             np.subtract(inner, rhs, out=rhs)
             rhs[0] += self._off * ub[0]
             rhs[-1] += self._off * ub[-1]
-            dpttrs(self._diag, self._sub, rhs, overwrite_b=True)
+            self._dpttrs(self._diag, self._sub, rhs, overwrite_b=True)
             u_view = np.multiply(out, self._weight_down, out=self._u)
         lo = float(u_view.min())
         hi = float(u_view.max())

@@ -55,8 +55,8 @@ def _kummer_neg(a: float, b: float, z: np.ndarray) -> np.ndarray:
     M(b + 1, b, -z) = e^{-z} (1 - z/b) in closed form (r = 1/2 and r = 3/2
     for w', r = 3/2 for w): there hyp1f1 takes time linear in z (8 s at
     z = 1e12) and is NaN from z = 1e50."""
-    # imported on first use: scipy.special adds 60-90 ms to importing the
-    # package, which simulate, fit and report never need
+    # imported on first use: the package loads no scipy, and simulate, fit
+    # and report never need scipy.special (its cost is in CHANGES.md)
     from scipy.special import hyp1f1
 
     if a == b:

@@ -2,8 +2,9 @@
 in that module, every dataclass field and every function, class and method
 is read somewhere in the package, the benchmark or the acceptance tests, no
 module keeps a cache other than the two wave-profile builds, the package
-exports exactly the names its __init__ imports, and no certificate takes a
-parameter with a default.
+exports exactly the names its __init__ imports, no certificate takes a
+parameter with a default, and a fresh process loads scipy only for the
+commands that compute with it.
 
 The package's __init__ imports names only to re-export them, so it is
 exempt from the unused-import check.  Uses are found with the stdlib ast
@@ -14,7 +15,11 @@ the module, annotations included.
 import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -166,3 +171,74 @@ def test_certificates_take_no_defaulted_parameters():
                  for p in inspect.signature(f).parameters.values()
                  if p.default is not inspect.Parameter.empty]
     assert defaulted == []
+
+
+# A fresh interpreter imports the package and the CLI, runs fit and report on
+# a hand-written run directory, then simulate, and prints the scipy modules
+# loaded after each stage as its last line.
+SCIPY_MODULES = """
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+COLD_START = "import json, sys\n" + SCIPY_MODULES + r"""
+from pathlib import Path
+
+import kppfront, kppfront.cli
+from kppfront.cli import main
+
+seen = {"import": scipy_modules()}
+run = Path(sys.argv[1])
+trace = run / "k1" / "traces" / "level_0.5.csv"
+trace.parent.mkdir(parents=True)
+trace.write_text("t,x_m\n" + "".join(f"{t},{2 * t - 0.5 * t ** 0.5}\n"
+                                        for t in range(100, 2000, 100)))
+(run / "k1" / "manifest.json").write_text('{"command": "simulate", "config": {"k": 1}}')
+rcs = [main(["fit", str(trace), "--t-min", "150"]), main(["report", str(run)])]
+seen["fit_report"] = scipy_modules()
+config = run / "run.cfg"
+config.write_text("k = 1\nt_end = 2\nsnapshot_times = 2\n")
+rcs.append(main(["simulate", "--config", str(config), "--out", str(run / "sim")]))
+seen["simulate"] = scipy_modules()
+print(json.dumps({"rcs": rcs, "seen": seen}))
+"""
+# What a fresh interpreter loads for scipy.linalg.lapack alone: that depends
+# on the scipy release (some load scipy.sparse with scipy.linalg, 1.17 does
+# not), so simulate is held to it rather than to a fixed list.
+LAPACK_ONLY = "import json, sys\n" + SCIPY_MODULES + r"""
+import scipy.linalg.lapack
+
+print(json.dumps(scipy_modules()))
+"""
+
+
+@pytest.fixture(scope="module")
+def cold_start(tmp_path_factory):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+
+    def last_json_line(*argv):
+        done = subprocess.run([sys.executable, "-c", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.strip().splitlines()[-1]), done.stderr
+
+    out, stderr = last_json_line(COLD_START, str(tmp_path_factory.mktemp("run")))
+    assert out["rcs"] == [0, 0, 0], stderr
+    return dict(out["seen"], lapack_only=last_json_line(LAPACK_ONLY)[0])
+
+
+def test_import_loads_no_scipy(cold_start):
+    # scipy.linalg alone would be most of the package's import time, which
+    # every command pays as a fresh process
+    assert cold_start["import"] == []
+
+
+def test_fit_and_report_load_no_scipy(cold_start):
+    assert cold_start["fit_report"] == []
+
+
+def test_simulate_loads_only_scipy_linalg(cold_start):
+    # no scipy.integrate or scipy.special, which only verify needs
+    loaded = set(cold_start["simulate"])
+    assert "scipy.linalg.lapack" in loaded
+    assert loaded <= set(cold_start["lapack_only"]), sorted(loaded - set(cold_start["lapack_only"]))

@@ -246,6 +246,17 @@ class TestStep:
         assert not np.any((u != 0.0) & (np.abs(u) < np.finfo(float).tiny))
         assert u[-1] == 0.0
 
+    def test_no_subnormal_sink_on_critical_grid(self):
+        # dt e^{-xi} leaves the normal range before e^{-xi} does (from
+        # xi ~ 706.1 at dt = 0.1): every step's sink pass multiplies through
+        # it, so it must read 0 there too, at every step size set
+        stepper = Stepper(10688, 0.1, 0.1, xi0=-60.0)
+        for dt in (0.1, DT_MAX):
+            stepper.set_dt(dt)
+            sink = stepper._sink
+            assert not np.any((sink != 0.0) & (sink < np.finfo(float).tiny)), dt
+            assert sink[0] > 0.0 and sink[-1] == 0.0
+
     @pytest.mark.parametrize("n,dxi,dt,k", [(6644, 0.05, 0.01, 0.0), (10688, 0.1, 0.1, -2.0)])
     def test_matches_full_matrix_oracle(self, n, dxi, dt, k):
         # the eliminated-boundary LDL^T solve against a full n x n solve that
