@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 3 verification failure.  All outputs are deterministic given the config
-bytes; every command drops a manifest carrying the config digest.
+bytes; simulate and verify drop a manifest carrying the config digest
+(manifest.json, and manifest_verify_<suite>.json so that the four suites can
+share one directory).
 
 Only cmd_verify imports ansatz and heatkernel, and with them scipy; simulate
 loads what scipy.linalg pulls in, through sim.Stepper.
@@ -39,7 +41,7 @@ def _digest(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, digest: str, outputs: list[str],
-                    extra: dict | None = None) -> None:
+                    extra: dict | None = None, name: str = "manifest.json") -> None:
     manifest = {
         "command": command,
         "config_digest": digest,
@@ -48,7 +50,7 @@ def _write_manifest(out_dir: Path, command: str, digest: str, outputs: list[str]
     }
     if extra:
         manifest.update(extra)
-    atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(out_dir / name, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -123,10 +125,11 @@ def cmd_verify(args) -> int:
     failed = [r for r in reports if not r.passed]
     for r in reports:
         print(r.text_block())
+    # one manifest per suite: the suites share an --out directory
     _write_manifest(
         out_dir, f"verify {args.suite}",
         hashlib.sha256(args.suite.encode()).hexdigest(),
-        outputs,
+        outputs, name=f"manifest_verify_{args.suite}.json",
     )
     if failed:
         worst = max(failed, key=lambda r: abs(r.worst_signed_residual))

@@ -162,11 +162,13 @@ class TestCriterion5WaveSuite:
         b1, b2 = float(ratios[w1].mean()), float(ratios[w2].mean())
         b_shift = abs(b1 - b2) / b1
 
+        # phi_gamma is phi_1 / gamma by construction: check it against
+        # phi_gamma's own equation integrated from (1/(2 gamma), 0)
         scale_err = 0.0
         for g in (2.0, math.exp(2.0)):
             p = phi_gamma(g)
-            phi1, _ = _rk4_wave(0.5, 0.0, len(p.values) - 1, p.dz, 1.0)
-            scale_err = max(scale_err, float(np.max(np.abs(g * p.values - phi1))))
+            direct, _ = _rk4_wave(0.5 / g, 0.0, len(p.values) - 1, p.dz, g)
+            scale_err = max(scale_err, g * float(np.max(np.abs(p.values - direct))))
         p2 = phi_gamma(2.0)
         logslope_ok = bool(np.all(p2.dvalues[1:] / p2.values[1:] >= -1.0 - 1e-12))
         phi_residual = ode_residual(p2)

@@ -232,6 +232,22 @@ class TestVerifyCommand:
     def test_critical_suite_passes(self, tmp_path):
         run_suite("critical", tmp_path)
 
+    def test_suites_share_one_directory(self, tmp_path, capsys):
+        # each suite drops its own manifest, so the second run leaves the
+        # first one's in place, and each lists only its own outputs
+        run_suite("supersolutions", tmp_path)
+        run_suite("heat", tmp_path)
+        assert not (tmp_path / "manifest.json").exists()
+        expected = {"supersolutions": ["verify_supersolutions.csv"],
+                    "heat": ["heat_sweep_2sqrt_t.csv", "verify_heat.csv"]}
+        for suite, outputs in expected.items():
+            manifest = json.loads((tmp_path / f"manifest_verify_{suite}.json").read_text())
+            assert manifest["command"] == f"verify {suite}"
+            assert manifest["outputs"] == outputs
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 0
+        assert "verification checks: 15 total, 0 failed" in capsys.readouterr().out
+
 
 class TestReportCommand:
     def test_full_workflow_report(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Every name a module of the package or of the test suite imports is used
 in that module, every dataclass field and every function, class and method
 is read somewhere in the package, the benchmark or the acceptance tests, no
-module keeps a cache other than the two wave-profile builds, the package
+module keeps a cache other than the wave-profile builds, the package
 exports exactly the names its __init__ imports, no certificate takes a
 parameter with a default, and a fresh process loads scipy only for the
 commands that compute with it.
@@ -151,12 +151,14 @@ def test_all_exports_resolve():
 
 def test_only_the_wave_profiles_are_cached():
     # a module-level cache is state shared by every caller in the process;
-    # only the two wave-profile builds keep one
+    # only the wave-profile builds keep one: the minimal wave, the gamma = 1
+    # orbit and the phi_gamma scaled from it
     modules = [importlib.import_module(f"kppfront.{m.name}")
                for m in pkgutil.iter_modules(kppfront.__path__)]
     cached = {f"{obj.__module__}.{obj.__qualname__}" for mod in modules
               for obj in vars(mod).values() if hasattr(obj, "cache_clear")}
-    assert cached == {"kppfront.waves.minimal_wave", "kppfront.waves.phi_gamma"}
+    assert cached == {"kppfront.waves.minimal_wave", "kppfront.waves._unit_orbit",
+                      "kppfront.waves.phi_gamma"}
 
 
 def test_certificates_take_no_defaulted_parameters():

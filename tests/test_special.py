@@ -12,6 +12,7 @@ from kppfront import (
     DomainError,
     NumericsError,
     ansatz,
+    special,
     w_asymptotic_constant,
     w_eval,
     w_ode_oracle,
@@ -266,12 +267,25 @@ def rk4_loop_oracle(r: float, y_max: float, n: int) -> np.ndarray:
     return out
 
 
+# With ORACLE_BLOCK_STEPS = 100: n = 100, the least the oracle takes, is one
+# block; 1001 is one step past 10 full blocks, so its last block holds one
+# node and drops 99; 20_000 and 100_000 (certify's grid) fill 200 and 1000
+# blocks exactly; y_max = 50 at n = 200_000 is criterion 4's tail-constant
+# grid
+ORACLE_LAYOUTS = [(10.0, 100), (10.0, 1001), (10.0, 20_000), (10.0, 100_000), (50.0, 200_000)]
+
+
 class TestOdeOracle:
-    # n = 100 fills 10 blocks of 10 steps exactly; 1001, 20_000 and 100_000
-    # leave the last block of ceil(sqrt(n)) steps part-used; y_max = 50 at
-    # n = 200_000 is criterion 4's tail-constant grid
-    @pytest.mark.parametrize("y_max, n", [(10.0, 100), (10.0, 1001), (10.0, 20_000),
-                                          (10.0, 100_000), (50.0, 200_000)])
+    def test_layouts_cover_the_block_edges(self):
+        # a new block length must keep an exact multiple of it, one step past
+        # a multiple and the minimum n among the layouts
+        steps = special.ORACLE_BLOCK_STEPS
+        ns = [n for _, n in ORACLE_LAYOUTS]
+        assert 100 in ns
+        assert any(n % steps == 0 and n > steps for n in ns)
+        assert any(n % steps == 1 and n > steps for n in ns)
+
+    @pytest.mark.parametrize("y_max, n", ORACLE_LAYOUTS)
     @pytest.mark.parametrize("r", R_FAMILY + (1.5,))
     def test_blocks_match_node_by_node_stepping(self, r, y_max, n):
         grid = w_ode_oracle(r, y_max, n)

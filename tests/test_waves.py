@@ -7,6 +7,7 @@ import pytest
 
 from kppfront import (
     DomainError,
+    NumericsError,
     minimal_wave,
     ode_residual,
     phi_gamma,
@@ -34,6 +35,22 @@ def rebuilt_wave(monkeypatch, wave):
 
     yield build
     minimal_wave.cache_clear()
+
+
+@pytest.fixture()
+def rebuilt_unit_orbit(monkeypatch):
+    """Route the next build of the gamma = 1 orbit through a patched
+    integrator.  Both caches are cleared before and after, so no patched
+    profile reaches a later caller."""
+
+    def build(integrator):
+        monkeypatch.setattr(waves, "_rk4_wave", integrator)
+        waves._unit_orbit.cache_clear()
+        phi_gamma.cache_clear()
+
+    yield build
+    waves._unit_orbit.cache_clear()
+    phi_gamma.cache_clear()
 
 
 class TestMinimalWave:
@@ -104,9 +121,40 @@ class TestPhiGamma:
 
     @pytest.mark.parametrize("g", [2.0, math.exp(2.0)])
     def test_scaling_identity_to_gamma_one(self, g):
+        # phi_gamma is phi_1 / gamma by construction; integrating its own
+        # equation from (1/(2 gamma), 0) is the independent route, and the
+        # two differ only by rounding (about 1e-13 relative)
         p = phi_gamma(g)
-        phi1, _ = _rk4_wave(0.5, 0.0, len(p.values) - 1, p.dz, 1.0)
-        assert np.max(np.abs(g * p.values - phi1)) <= 1e-10
+        direct, _ = _rk4_wave(0.5 / g, 0.0, len(p.values) - 1, p.dz, g)
+        assert g * np.max(np.abs(p.values - direct)) <= 1e-10
+
+    def test_one_orbit_for_every_gamma(self, rebuilt_unit_orbit):
+        launches = []
+
+        def counted(*args):
+            launches.append(args)
+            return _rk4_wave(*args)
+
+        rebuilt_unit_orbit(counted)
+        for g in (1.5, math.exp(2.0)):
+            p = phi_gamma(g)
+            unit_vals, unit_dvals = waves._unit_orbit()
+            assert np.array_equal(p.values, unit_vals / g)
+            assert np.array_equal(p.dvalues, unit_dvals / g)
+        assert len(launches) == 1
+
+    def test_unit_orbit_checks_reach_every_gamma(self, rebuilt_unit_orbit):
+        # phi' >= 0 at one node of the gamma = 1 orbit: the checks run there
+        # once, and phi_gamma must not hand out a profile scaled from it
+        def bumped(*args):
+            vals, dvals = _rk4_wave(*args)
+            dvals[20_000] = 1e-9
+            return vals, dvals
+
+        rebuilt_unit_orbit(bumped)
+        with pytest.raises(NumericsError, match="negative"):
+            phi_gamma(3.25)
+
 
     def test_gamma_one_orbit_distinct_from_wave_but_tail_equivalent(self, wave):
         # phi_1 launches flat at height 1/2 while the wave crosses 1/2 with
@@ -130,6 +178,11 @@ class TestPhiGamma:
     def test_requires_gamma_above_one(self):
         with pytest.raises(DomainError):
             phi_gamma(1.0)
+
+    def test_rejects_infinite_gamma(self):
+        # phi_1 / inf would be a profile of zeros
+        with pytest.raises(DomainError):
+            phi_gamma(math.inf)
 
     def test_residual(self):
         assert ode_residual(phi_gamma(2.0)) <= 1e-8
