@@ -310,7 +310,8 @@ def check_phi_eta_sub(r: float) -> VerificationReport:
     expr = (boost - gamma) * phis
     scale = np.maximum((gamma - boost) * phis, 1e-300)
     worst, worst_at, verdict = _sign_scan(ts, zs, expr / scale, "sub")
-    min_glue = min((eta / math.sqrt(t)) * phi(0.0) + phi.derivative(0.0) for t in ts)
+    phi0, dphi0 = phi(0.0), phi.derivative(0.0)
+    min_glue = min((eta / math.sqrt(t)) * phi0 + dphi0 for t in ts)
     return VerificationReport(
         name=f"phi_eta_sub_r{r:g}",
         domain={"t": f"[{PHI_T_MIN:g}, {T_MAX:g}]", "z": "(0, 2 sqrt t]",
@@ -325,11 +326,10 @@ def check_phi_eta_sub(r: float) -> VerificationReport:
 def critical_sub_constants() -> dict:
     """Auto-size M = 8 sup e^{-z} v (t+1)^{5/4} and pick delta with
     delta (1+M)^2 = 1/2."""
-    sup = 0.0
-    for t in np.geomspace(1.0, 1e8, 9):
-        for z in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-            v = heatkernel.v_dirichlet(float(t), float(z), VERIFY_TOL).value
-            sup = max(sup, math.exp(-z) * v * (t + 1.0) ** 1.25)
+    ts = np.geomspace(1.0, 1e8, 9)[:, None]
+    zs = np.array([0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    v = heatkernel.v_dirichlet(ts, zs, VERIFY_TOL).value
+    sup = max(0.0, float(np.max(np.exp(-zs) * v * (ts + 1.0) ** 1.25)))
     M = 8.0 * sup
     delta = 0.5 / (1.0 + M) ** 2
     return {"M": M, "delta": delta, "sup_weighted_v": sup}
@@ -345,12 +345,9 @@ def check_critical_sub() -> VerificationReport:
     n_t, n_z = CRITICAL_SUB_GRID
     ts = _t_grid(1.0, CRITICAL_T_MAX, n_t)
     zs = np.array([np.geomspace(0.05, max(3.0 * math.log(t + 3.0), 8.0), n_z) for t in ts])
-    signed = np.empty_like(zs)
-    for i, j in np.ndindex(zs.shape):
-        t, z = float(ts[i]), float(zs[i, j])
-        lead = math.exp(-z) * heatkernel.v_dirichlet(t, z, VERIFY_TOL).value
-        damp = M / (4.0 * (t + 1.0) ** 1.25)
-        signed[i, j] = (lead - damp) / max(lead + damp, 1e-300)
+    lead = np.exp(-zs) * heatkernel.v_dirichlet(ts[:, None], zs, VERIFY_TOL).value
+    damp = M / (4.0 * (ts[:, None] + 1.0) ** 1.25)
+    signed = (lead - damp) / np.maximum(lead + damp, 1e-300)
     worst, worst_at, verdict = _sign_scan(ts, zs, signed, "sub")
     return VerificationReport(
         name="dirichlet_sub_critical",
@@ -371,14 +368,12 @@ def check_critical_super() -> VerificationReport:
     n_t, n_y = CRITICAL_SUPER_GRID
     ts = _t_grid(t0, CRITICAL_T_MAX, n_t)
     zs = np.linspace(0.1, 2.0, n_y) * np.sqrt(ts)[:, None]
-    signed = np.empty_like(zs)
-    for i, j in np.ndindex(zs.shape):
-        t, z = float(ts[i]), float(zs[i, j])
-        v = heatkernel.v_dirichlet(t, z, VERIFY_TOL).value
-        dv = heatkernel.v_dirichlet_dx(t, z, max(VERIFY_TOL, abs(v) * 1e-7)).value
-        a = (1.5 / t - 1.0 / (t * math.log(t))) * dv
-        b = (M / (4.0 * t**1.25)) / (1.0 - M / t**0.25) * v
-        signed[i, j] = (a + b) / max(abs(a) + abs(b), 1e-300)
+    t = ts[:, None]
+    v = heatkernel.v_dirichlet(t, zs, VERIFY_TOL).value
+    dv = heatkernel.v_dirichlet_dx(t, zs, np.maximum(VERIFY_TOL, np.abs(v) * 1e-7)).value
+    a = (1.5 / t - 1.0 / (t * np.log(t))) * dv
+    b = (M / (4.0 * t**1.25)) / (1.0 - M / t**0.25) * v
+    signed = (a + b) / np.maximum(np.abs(a) + np.abs(b), 1e-300)
     worst, worst_at, verdict = _sign_scan(ts, zs, signed, "super")
     return VerificationReport(
         name="dirichlet_super_critical",

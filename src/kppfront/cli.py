@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -114,11 +113,11 @@ def cmd_verify(args) -> int:
     outputs = [f"verify_{args.suite}.csv"]
     reports_to_csv(reports, out_dir / outputs[0])
     if args.suite == "heat":
-        records = []
-        for t in (1e2, 1e4, 1e6, 1e8):
-            x = 2.0 * math.sqrt(t)
-            res = heatkernel.v_dirichlet(t, x)
-            records.append((t, x, res.value, res.abs_error_estimate))
+        ts = np.array([1e2, 1e4, 1e6, 1e8])
+        xs = 2.0 * np.sqrt(ts)
+        res = heatkernel.v_dirichlet(ts, xs)
+        records = list(zip(ts.tolist(), xs.tolist(), res.value.tolist(),
+                           res.abs_error_estimate.tolist()))
         sweep = "heat_sweep_2sqrt_t.csv"
         heatkernel.sweep_to_csv(records, out_dir / sweep)
         outputs.append(sweep)

@@ -3,8 +3,12 @@ Gauss-Kronrod quadrature of kernel integrals.
 
 The one family covered is the half-line Dirichlet solution v(t, x) from the
 piecewise data (1 on (0,1], 1/x^2 beyond), with its x-derivative and an
-independent sinh-form route.  The kernels are arranged so no catastrophic
-cancellation or overflow occurs: the image kernel is evaluated as
+independent sinh-form route.  Each route takes t, x and tol as floats or as
+arrays that broadcast together; an array is integrated in one adaptive pass
+that evaluates the 21-point Gauss-Kronrod rule on every open subinterval of
+every point in one numpy call per round of bisection.  A point's result does
+not depend on the other points of its batch.  The kernels are arranged so no
+catastrophic cancellation or overflow occurs: the image kernel is evaluated as
 exp(-(x-y)^2/4t) * (-expm1(-xy/t)).
 """
 
@@ -12,17 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericsError
 from .report import VerificationReport
 
 # Gaussian factor below 1e-18 of its peak is dropped.
 _TRUNC_LOG = math.log(1e18)
+# Subintervals one piece of a quadrature may be split into, and the relative
+# tolerance of every piece.
 _QUAD_LIMIT = 300
+_EPSREL = 1e-11
 # Absolute quadrature tolerance of every verification (and of the critical
 # certificates in ansatz).
 VERIFY_TOL = 1e-13
@@ -37,109 +42,222 @@ WEIGHTED_SUP_N_X = 12
 X_EQ_2SQRT_T_LIMIT = math.exp(-1.0) / math.sqrt(math.pi)
 MIDRANGE_BAND_LIMIT = 1.0 / (4.0 * math.sqrt(math.pi))
 
+# The 21-point Gauss-Kronrod rule on [-1, 1] of QUADPACK's qk21 (Piessens et
+# al., QUADPACK, 1983): the nonnegative nodes, their Kronrod weights, and the
+# weights of the 10-point Gauss rule, whose nodes are every other nonzero one.
+_GK21_NODES = (0.0, 0.14887433898163122, 0.2943928627014602, 0.4333953941292472,
+               0.5627571346686047, 0.6794095682990244, 0.7808177265864169,
+               0.8650633666889845, 0.9301574913557082, 0.9739065285171717,
+               0.9956571630258081)
+_GK21_KRONROD = (0.1494455540029169, 0.14773910490133849, 0.14277593857706009,
+                 0.13470921731147334, 0.12349197626206584, 0.10938715880229764,
+                 0.0931254545836976, 0.07503967481091996, 0.054755896574351995,
+                 0.032558162307964725, 0.011694638867371874)
+_GK21_GAUSS = (0.0, 0.29552422471475287, 0.0, 0.26926671930999635, 0.0,
+               0.21908636251598204, 0.0, 0.1494513491505806, 0.0,
+               0.06667134430868814, 0.0)
+
+
+# the 21 nodes over [-1, 1] and their two weight vectors
+_XK = np.concatenate([-np.array(_GK21_NODES[:0:-1]), _GK21_NODES])
+_WK = np.concatenate([_GK21_KRONROD[:0:-1], _GK21_KRONROD])
+_WG = np.concatenate([_GK21_GAUSS[:0:-1], _GK21_GAUSS])
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+
 
 @dataclass
 class QuadratureResult:
-    value: float
-    abs_error_estimate: float
+    """value and abs_error_estimate are floats for float arguments and arrays
+    of the broadcast shape otherwise; evaluations counts integrand values
+    over all points."""
+
+    value: float | np.ndarray
+    abs_error_estimate: float | np.ndarray
     evaluations: int
 
 
-def critical_data(y: float) -> float:
-    """Initial data of the critical-case Dirichlet problem."""
-    if y <= 0.0:
-        return 0.0
-    return 1.0 if y <= 1.0 else 1.0 / (y * y)
+def critical_data(y):
+    """Initial data of the critical-case Dirichlet problem, elementwise."""
+    return np.where(y > 0.0, 1.0 / np.maximum(y * y, 1.0), 0.0)
 
 
-def _piecewise_quad(f, edges: list[float], tol: float) -> QuadratureResult:
-    total = 0.0
-    err = 0.0
-    neval = 0
-    epsabs = 0.5 * tol / max(len(edges) - 1, 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        val, e, info = quad(
-            f, a, b, epsabs=epsabs, epsrel=1e-11, limit=_QUAD_LIMIT,
-            full_output=True,
-        )[:3]
-        total += val
-        err += e
-        neval += info["neval"]
+def _gk21(f, a, b, params):
+    """The qk21 rule on each subinterval [a_i, b_i] (b_i > a_i): the Kronrod
+    value and QUADPACK's error estimate.  f takes a (rows, 21) array of nodes
+    and each per-row array of params as a (rows, 1) column; a scalar result
+    is broadcast.  Sums run along rows, so each row's result depends on that
+    row alone."""
+    half = 0.5 * (b - a)
+    y = (0.5 * (a + b))[:, None] + half[:, None] * _XK
+    fv = np.empty_like(y)
+    fv[...] = f(y, *(p[:, None] for p in params))
+    resk = (fv * _WK).sum(axis=1)
+    resg = (fv * _WG).sum(axis=1)
+    resabs = (np.abs(fv) * _WK).sum(axis=1) * half
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) * _WK).sum(axis=1) * half
+    err = np.abs((resk - resg) * half)
+    spread = resasc != 0.0  # where err = 0 too, the scaling keeps it 0
+    err[spread] = resasc[spread] * np.minimum(1.0, (200.0 * err[spread] / resasc[spread]) ** 1.5)
+    above = resabs > _UFLOW / (50.0 * _EPMACH)
+    err[above] = np.maximum(50.0 * _EPMACH * resabs[above], err[above])
+    return resk * half, err
+
+
+def _piecewise_quad(f, edges, tol, *params) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integral of f over each row of edges, to absolute tolerance tol (one
+    per row): returns the values, their error estimates and the number of
+    integrand evaluations.
+
+    edges is one increasing list of edges, or one such row per point; a piece
+    whose edges do not increase is skipped, so a row may be padded at its end
+    by repeating its last edge.  f is called as in _gk21, with params holding
+    one value per point.  Each piece has epsabs = tol / (2 pieces) and
+    relative tolerance _EPSREL, and is refined until its error estimates sum
+    to at most max(epsabs, _EPSREL |integral|) or it holds _QUAD_LIMIT
+    subintervals.  Each round bisects, in every piece still open, its
+    worst subinterval and every one whose estimate exceeds an equal share of
+    the piece's bound, and evaluates all new subintervals at once.  A point
+    whose summed estimate exceeds max(tol, |value| 1e-10, 1e-300), or is
+    NaN, raises NumericsError."""
+    edges = np.atleast_2d(np.asarray(edges, dtype=float))
+    n = edges.shape[0]
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    live = hi > lo
+    point = np.nonzero(live)[0]  # the point of each piece, pieces in row order
+    n_pieces = point.size
+    epsabs = (0.5 * tol / np.maximum(live.sum(axis=1), 1))[point]
+    params = [np.broadcast_to(np.asarray(p, dtype=float), (n,))[point] for p in params]
+    nsub = np.ones(n_pieces, dtype=int)
+    value, error = np.zeros(n_pieces), np.zeros(n_pieces)
+    # the open subintervals: edges, piece, Kronrod value, error estimate
+    a, b, piece = lo[live], hi[live], np.arange(n_pieces)
+    area, err = _gk21(f, a, b, params)
+    evaluations = 21 * a.size
+    while piece.size:
+        open_ = np.zeros(n_pieces, dtype=bool)
+        open_[piece] = True
+        value[open_] = np.bincount(piece, area, n_pieces)[open_]
+        error[open_] = np.bincount(piece, err, n_pieces)[open_]
+        bound = np.maximum(epsabs, _EPSREL * np.abs(value))
+        # negated so that a NaN estimate stays open until the limit
+        more = open_ & ~(error <= bound) & (nsub < _QUAD_LIMIT)
+        keep = more[piece]
+        a, b, piece, area, err = a[keep], b[keep], piece[keep], area[keep], err[keep]
+        if not piece.size:
+            break
+        # rank of each subinterval in its piece, largest estimate first
+        order = np.lexsort((-err, piece))
+        ranked = piece[order]
+        rank = np.empty(piece.size, dtype=int)
+        rank[order] = np.arange(piece.size) - np.searchsorted(ranked, ranked)
+        split = (((rank == 0) | ~(err <= bound[piece] / nsub[piece]))
+                 & (rank < _QUAD_LIMIT - nsub[piece]))
+        nsub += np.bincount(piece[split], minlength=n_pieces)
+        mid = 0.5 * (a[split] + b[split])
+        new_a, new_b = np.repeat(a[split], 2), np.repeat(b[split], 2)
+        new_a[1::2] = new_b[::2] = mid
+        new_piece = np.repeat(piece[split], 2)
+        new_area, new_err = _gk21(f, new_a, new_b, [p[new_piece] for p in params])
+        evaluations += 21 * new_a.size
+        stay = ~split
+        a, b = np.concatenate([a[stay], new_a]), np.concatenate([b[stay], new_b])
+        piece = np.concatenate([piece[stay], new_piece])
+        area, err = np.concatenate([area[stay], new_area]), np.concatenate([err[stay], new_err])
+    total, total_err = np.bincount(point, value, n), np.bincount(point, error, n)
     # negated so that a NaN estimate fails too
-    if not err <= max(tol, abs(total) * 1e-10, 1e-300):
-        raise NumericsError(f"quadrature error estimate {err:.2e} exceeds tolerance {tol:.2e}")
-    return QuadratureResult(total, err, neval)
+    failed = np.nonzero(~(total_err <= np.maximum(np.maximum(tol, np.abs(total) * 1e-10), 1e-300)))[0]
+    if failed.size:
+        i = failed[0]
+        raise NumericsError(f"quadrature error estimate {total_err[i]:.2e} exceeds tolerance {tol[i]:.2e}")
+    return total, total_err, evaluations
 
 
-def _check_heat_domain(t: float, x: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be finite and positive, got {t}")
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"x must be finite and nonnegative, got {x}")
-
-
-def _dirichlet_edges(t: float, x: float) -> list[float]:
-    radius = 2.0 * math.sqrt(t * _TRUNC_LOG) + 10.0
-    hi = x + radius
-    pts = {1.0}  # the kink of the critical data; hi > 10 always
-    for p in (x - math.sqrt(t), x, x + math.sqrt(t)):
-        if 0.0 < p < hi:
-            pts.add(p)
-    # the 1/y^2 tail of the data decays over decades; seed the splits
+def _dirichlet_edges(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Quadrature edges over y > 0 at each point of the 1-d arrays t, x: 0,
+    the kink y = 1 of the data, x - sqrt t, x and x + sqrt t where they fall
+    inside, the decades 10, 100, ... (the 1/y^2 tail of the data decays over
+    decades), and the truncation edge x + radius.  One increasing row per
+    point, padded at its end with repeats of the truncation edge."""
+    hi = x + (2.0 * np.sqrt(t * _TRUNC_LOG) + 10.0)  # > 10, so above the kink
+    decades = []
     p = 10.0
-    while p < hi:
-        pts.add(p)
+    while p < hi.max():
+        decades.append(p)
         p *= 10.0
-    return [0.0] + sorted(pts) + [hi]
+    s = np.sqrt(t)
+    inside = np.column_stack([x - s, x, x + s, np.broadcast_to(decades, (x.size, len(decades)))])
+    inside = np.where((inside > 0.0) & (inside < hi[:, None]), inside, hi[:, None])
+    cols = [np.zeros_like(x), np.ones_like(x), *inside.T, hi]
+    return np.sort(np.column_stack(cols), axis=1)
 
 
-def _dirichlet_integral(t: float, x: float, integrand: Callable[[float], float],
-                        outer: float, tol: float) -> QuadratureResult:
-    """outer times the integral of integrand over y > 0, to absolute
-    tolerance tol on the scaled value."""
-    res = _piecewise_quad(integrand, _dirichlet_edges(t, x), tol / outer)
-    return QuadratureResult(outer * res.value, outer * res.abs_error_estimate, res.evaluations)
+def _dirichlet_integral(integrand, outer, t, x, tol, zero_at_boundary: bool) -> QuadratureResult:
+    """outer(t, x) times the integral of integrand over y > 0, to absolute
+    tolerance tol on the scaled value, at every point of the broadcast t, x,
+    tol; with zero_at_boundary, points at x = 0 read 0 without quadrature."""
+    t, x, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, x, tol)))
+    shape = t.shape
+    t, x, tol = t.ravel(), x.ravel(), tol.ravel()
+    bad = ~((0.0 < t) & (t < math.inf))
+    if bad.any():
+        raise DomainError(f"t must be finite and positive, got {t[bad][0]}")
+    bad = ~((0.0 <= x) & (x < math.inf))
+    if bad.any():
+        raise DomainError(f"x must be finite and nonnegative, got {x[bad][0]}")
+    value, err = np.zeros(t.size), np.zeros(t.size)
+    run = x > 0.0 if zero_at_boundary else np.ones(t.size, dtype=bool)
+    evaluations = 0
+    if run.any():
+        t, x = t[run], x[run]
+        scale = outer(t, x)
+        res, res_err, evaluations = _piecewise_quad(
+            integrand, _dirichlet_edges(t, x), tol[run] / scale, t, x)
+        value[run], err[run] = scale * res, scale * res_err
+    if shape == ():
+        return QuadratureResult(float(value[0]), float(err[0]), evaluations)
+    return QuadratureResult(value.reshape(shape), err.reshape(shape), evaluations)
 
 
-def v_dirichlet(t: float, x: float, tol: float = 1e-12) -> QuadratureResult:
-    """Half-line Dirichlet heat solution at (t, x) from the critical data."""
-    _check_heat_domain(t, x)
-    if x == 0.0:
-        return QuadratureResult(0.0, 0.0, 0)
-
-    def integrand(y: float) -> float:
-        g = math.exp(-((x - y) ** 2) / (4.0 * t))
-        return g * (-math.expm1(-x * y / t)) * critical_data(y)
-
-    return _dirichlet_integral(t, x, integrand, 1.0 / math.sqrt(4.0 * math.pi * t), tol)
+def _gaussian_norm(t, x):
+    return 1.0 / np.sqrt(4.0 * math.pi * t)
 
 
-def v_dirichlet_dx(t: float, x: float, tol: float = 1e-12) -> QuadratureResult:
+def _image_kernel(y, t, x):
+    g = np.exp(-((x - y) ** 2) / (4.0 * t))
+    return g * (-np.expm1(-x * y / t)) * critical_data(y)
+
+
+def _image_kernel_dx(y, t, x):
+    a = np.exp(-((x - y) ** 2) / (4.0 * t))
+    b = np.exp(-((x + y) ** 2) / (4.0 * t))
+    return (-(x - y) * a + (x + y) * b) / (2.0 * t) * critical_data(y)
+
+
+def _sinh_kernel(y, t, x):
+    return np.exp(-y * y / (4.0 * t)) * np.sinh(x * y / (2.0 * t)) * critical_data(y)
+
+
+def _sinh_norm(t, x):
+    return np.exp(-x * x / (4.0 * t)) / np.sqrt(math.pi * t)
+
+
+def v_dirichlet(t, x, tol=1e-12) -> QuadratureResult:
+    """Half-line Dirichlet heat solution at (t, x) from the critical data;
+    t, x and tol may be arrays that broadcast together."""
+    return _dirichlet_integral(_image_kernel, _gaussian_norm, t, x, tol, zero_at_boundary=True)
+
+
+def v_dirichlet_dx(t, x, tol=1e-12) -> QuadratureResult:
     """Spatial derivative of v_dirichlet via the differentiated kernel."""
-    _check_heat_domain(t, x)
-
-    def integrand(y: float) -> float:
-        a = math.exp(-((x - y) ** 2) / (4.0 * t))
-        b = math.exp(-((x + y) ** 2) / (4.0 * t))
-        return (-(x - y) * a + (x + y) * b) / (2.0 * t) * critical_data(y)
-
-    return _dirichlet_integral(t, x, integrand, 1.0 / math.sqrt(4.0 * math.pi * t), tol)
+    return _dirichlet_integral(_image_kernel_dx, _gaussian_norm, t, x, tol, zero_at_boundary=False)
 
 
-def v_dirichlet_sinh_form(t: float, x: float, tol: float = 1e-12) -> QuadratureResult:
+def v_dirichlet_sinh_form(t, x, tol=1e-12) -> QuadratureResult:
     """Independent route: e^{-x^2/4t}/sqrt(pi t) integral of e^{-y^2/4t}
     sinh(xy/2t) v0; cross-checks the image-kernel evaluation."""
-    _check_heat_domain(t, x)
-    if x == 0.0:
-        return QuadratureResult(0.0, 0.0, 0)
-
-    def integrand(y: float) -> float:
-        return math.exp(-y * y / (4.0 * t)) * math.sinh(x * y / (2.0 * t)) * critical_data(y)
-
-    outer = math.exp(-x * x / (4.0 * t)) / math.sqrt(math.pi * t)
-    return _dirichlet_integral(t, x, integrand, outer, tol)
+    return _dirichlet_integral(_sinh_kernel, _sinh_norm, t, x, tol, zero_at_boundary=True)
 
 
 def verify_midrange_band(t: float) -> VerificationReport:
@@ -148,16 +266,13 @@ def verify_midrange_band(t: float) -> VerificationReport:
     if t < 100.0:
         raise DomainError("band check needs t >= 100")
     x_samples = np.linspace(1.0 + 1e-6, math.log(t) * (1.0 - 1e-6), 9)
-    ratios = []
-    for x in x_samples:
-        v = v_dirichlet(t, float(x), VERIFY_TOL).value
-        ratios.append(v * t**1.5 / (x * math.log(t)))
-    lo, hi = min(ratios), max(ratios)
+    ratios = v_dirichlet(t, x_samples, VERIFY_TOL).value * t**1.5 / (x_samples * math.log(t))
+    lo, hi = float(ratios.min()), float(ratios.max())
     ok = 0.05 <= lo and hi <= 5.0
     worst = max(0.05 - lo, hi - 5.0)
     return VerificationReport(
         name=f"dirichlet_band_t{t:g}",
-        domain={"t": t, "x": f"({min(x_samples):.3g}, {max(x_samples):.3g})", "samples": len(ratios)},
+        domain={"t": t, "x": f"({min(x_samples):.3g}, {max(x_samples):.3g})", "samples": ratios.size},
         worst_signed_residual=worst,
         verdict="pass" if ok else "fail",
         details={"band_lo": lo, "band_hi": hi, "band_width": hi - lo,
@@ -173,19 +288,20 @@ def gradient_bound_constant() -> tuple[float, VerificationReport]:
     worst case, which sits at x = O(t^{3/4}) for small t).  The verdict, C
     finite, cannot fail (C only rises from 0, and never to NaN), and the
     report's residual is C itself: no margin, by construction."""
-    worst = 0.0
-    at = (math.nan, math.nan)
-    for t in GRADIENT_T_SAMPLES:
-        x_hi = min(4.0 * t**0.75, 26.0 * math.sqrt(t))
-        for x in np.geomspace(x_hi / 300.0, x_hi, GRADIENT_N_X):
-            v = v_dirichlet(t, float(x), VERIFY_TOL).value
-            if v <= 1e-290:
-                continue
-            dv = v_dirichlet_dx(t, float(x), max(VERIFY_TOL, v * 1e-8)).value
-            c = -(dv / v) * t**0.25
-            if c > worst:
-                worst = c
-                at = (t, float(x))
+    ts = np.array(GRADIENT_T_SAMPLES)
+    x_hi = np.minimum(4.0 * ts**0.75, 26.0 * np.sqrt(ts))
+    xs = np.geomspace(x_hi / 300.0, x_hi, GRADIENT_N_X, axis=1)
+    ts = np.broadcast_to(ts[:, None], xs.shape)
+    v = v_dirichlet(ts, xs, VERIFY_TOL).value
+    live = v > 1e-290
+    dv = v_dirichlet_dx(ts[live], xs[live], np.maximum(VERIFY_TOL, v[live] * 1e-8)).value
+    c = np.zeros(v.shape)
+    c[live] = -(dv / v[live]) * ts[live] ** 0.25
+    # the first largest C > 0 in row order; a NaN C never raises it
+    c = np.where(c > 0.0, c, 0.0)
+    i = np.unravel_index(np.argmax(c), c.shape)
+    worst = float(c[i])
+    at = (float(ts[i]), float(xs[i])) if worst > 0.0 else (math.nan, math.nan)
     report = VerificationReport(
         name="dirichlet_gradient_bound",
         domain={"t": f"[{GRADIENT_T_SAMPLES[0]:g}, {GRADIENT_T_SAMPLES[-1]:g}]",
@@ -205,19 +321,16 @@ def verify_weighted_sup_exponent(eps: float) -> VerificationReport:
     and the report shows no margin, by construction."""
     if not 0.0 <= eps <= 0.5:
         raise DomainError("eps must lie in [0, 1/2]")
-    running = sup_at_1e6 = 0.0
-    for t in WEIGHTED_SUP_T_SAMPLES:
-        x_hi = max(3.0 * math.log(t + 3.0), 6.0)
-        # e^{-x}-weighted quantities peak near x = 1: sample that region densely
-        xs = np.concatenate([np.linspace(0.1, 3.0, WEIGHTED_SUP_N_X // 2),
-                             np.linspace(3.5, x_hi, WEIGHTED_SUP_N_X // 2)])
-        for x in xs:
-            v = v_dirichlet(t, float(x), VERIFY_TOL).value
-            val = math.exp(-x) * v * (t + 1.0) ** (1.5 - eps)
-            if val > running:
-                running = val
-        if t <= 1e6:
-            sup_at_1e6 = running
+    ts = np.array(WEIGHTED_SUP_T_SAMPLES)
+    x_hi = np.maximum(3.0 * np.log(ts + 3.0), 6.0)
+    # e^{-x}-weighted quantities peak near x = 1: sample that region densely
+    half = WEIGHTED_SUP_N_X // 2
+    xs = np.column_stack([np.broadcast_to(np.linspace(0.1, 3.0, half), (ts.size, half)),
+                          np.linspace(3.5, x_hi, half, axis=1)])
+    vals = np.exp(-xs) * v_dirichlet(ts[:, None], xs, VERIFY_TOL).value * (ts[:, None] + 1.0) ** (1.5 - eps)
+    # the running sup after each t, from 0
+    sups = np.maximum.accumulate(np.maximum(vals.max(axis=1), 0.0))
+    running, sup_at_1e6 = float(sups[-1]), float(sups[ts <= 1e6][-1])
     growth = running / sup_at_1e6 - 1.0
     verdict = "pass" if growth < 0.01 else "fail"
     return VerificationReport(

@@ -81,11 +81,14 @@ class WaveProfile:
         return float(out[0]) if scalar else out
 
     def derivative(self, z):
+        """Linear interpolation of the derivative samples; constant
+        extension outside the sampled range."""
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        zc = np.clip(z, self.z0, self.z_max)
-        out = np.interp(zc, self.grid(), self.dvalues)
+        s = (np.clip(np.atleast_1d(z), self.z0, self.z_max) - self.z0) / self.dz
+        i = np.minimum(s.astype(int), self.values.size - 2)
+        d0, d1 = self.dvalues[i], self.dvalues[i + 1]
+        out = d0 + (s - i) * (d1 - d0)
         return float(out[0]) if scalar else out
 
 

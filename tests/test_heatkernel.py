@@ -1,7 +1,9 @@
-"""Half-line Dirichlet heat quadrature: asymptotic densities, gradient bound,
-weighted sups, and the kernel-form cross checks."""
+"""Half-line Dirichlet heat quadrature: the Gauss-Kronrod table, the batched
+integrator against scalar calls and QUADPACK, asymptotic densities, gradient
+bound, weighted sups, and the kernel-form cross checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,11 @@ from kppfront import DomainError, NumericsError
 from kppfront.heatkernel import (
     MIDRANGE_BAND_LIMIT,
     X_EQ_2SQRT_T_LIMIT,
+    _QUAD_LIMIT,
+    _WG,
+    _WK,
+    _XK,
+    _dirichlet_edges,
     _piecewise_quad,
     critical_data,
     gradient_bound_constant,
@@ -31,9 +38,121 @@ def test_routes_reject_arguments_outside_the_domain(route, t, x):
         route(t, x)
 
 
+@pytest.mark.parametrize("route", [v_dirichlet, v_dirichlet_dx, v_dirichlet_sinh_form],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("t,x", [([1.0, math.nan], 1.0), (1.0, [2.0, math.inf]),
+                                 ([[1.0], [-math.inf]], [0.5, 1.0]), (2.0, [0.5, -1.0])])
+def test_routes_reject_array_elements_outside_the_domain(route, t, x):
+    with pytest.raises(DomainError):
+        route(np.array(t), np.array(x))
+
+
 def test_nan_error_estimate_fails_the_quadrature():
     with pytest.raises(NumericsError):
         _piecewise_quad(lambda y: math.nan, [0.0, 1.0], 1e-12)
+
+
+def rule_error(weights, degree: int) -> Fraction:
+    """The embedded rule's sum of w x^degree minus the integral of x^degree
+    over [-1, 1], in exact rational arithmetic on the stored doubles."""
+    moment = Fraction(2, degree + 1) if degree % 2 == 0 else Fraction(0)
+    return sum(Fraction(w) * Fraction(x) ** degree for w, x in zip(weights, _XK)) - moment
+
+
+class TestGaussKronrodTable:
+    def test_kronrod_weights_exact_through_degree_31(self):
+        assert all(abs(rule_error(_WK, d)) <= 1e-15 for d in range(32))
+        # and no further: the 21-point Kronrod extension has degree 31
+        assert abs(rule_error(_WK, 32)) > 1e-12
+
+    def test_gauss_weights_exact_through_degree_19(self):
+        assert all(abs(rule_error(_WG, d)) <= 1e-15 for d in range(20))
+        assert abs(rule_error(_WG, 20)) > 1e-8
+        # the Gauss rule uses every other nonzero node and not the centre
+        assert np.count_nonzero(_WG) == 10 and _WG[10] == 0.0
+
+
+class TestBatchedQuadrature:
+    """The array routes against scalar calls, scipy's QUADPACK and the
+    subinterval limit."""
+
+    POINTS = [(0.5, 0.3, 1e-12), (3.0, 1.0, 1e-13), (40.0, 12.0, 1e-10),
+              (1e4, 150.0, 1e-13), (1e8, 2e4, 1e-12), (7.0, 0.0, 1e-12)]
+
+    @pytest.mark.parametrize("route", [v_dirichlet, v_dirichlet_dx, v_dirichlet_sinh_form],
+                             ids=lambda f: f.__name__)
+    def test_point_alone_and_in_a_batch_bit_identical(self, route):
+        t, x, tol = map(np.array, zip(*self.POINTS))
+        batch = route(t, x, tol)
+        assert isinstance(batch.evaluations, int)
+        for i, point in enumerate(self.POINTS):
+            alone = route(*point)
+            assert isinstance(alone.value, float)
+            assert alone.value == batch.value[i]
+            assert alone.abs_error_estimate == batch.abs_error_estimate[i]
+        # a 2-d batch, mixed with other points, gives the same values again
+        grid = route(t[:, None], np.stack([x, 0.5 * x], axis=1), tol[:, None])
+        assert grid.value.shape == (len(self.POINTS), 2)
+        np.testing.assert_array_equal(grid.value[:, 0], batch.value)
+
+    @staticmethod
+    def quadpack(kernel, t, x, tol):
+        """The integral over y > 0 by scipy's QUADPACK, one call per piece
+        between the same edges, each to half the tolerance over the pieces."""
+        edges = np.unique(_dirichlet_edges(np.array([t]), np.array([x]))[0])
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            total += quad(kernel, a, b, epsabs=0.5 * tol / (len(edges) - 1),
+                          epsrel=1e-11, limit=_QUAD_LIMIT)[0]
+        return total
+
+    def test_agrees_with_quadpack_within_tolerance(self):
+        def data(y):
+            return 1.0 if y <= 1.0 else 1.0 / (y * y)
+
+        def kernels(t, x):
+            def image(y):
+                return math.exp(-((x - y) ** 2) / (4 * t)) * -math.expm1(-x * y / t) * data(y)
+
+            def image_dx(y):
+                a = math.exp(-((x - y) ** 2) / (4 * t))
+                b = math.exp(-((x + y) ** 2) / (4 * t))
+                return (-(x - y) * a + (x + y) * b) / (2 * t) * data(y)
+
+            def sinh(y):
+                return math.exp(-y * y / (4 * t)) * math.sinh(x * y / (2 * t)) * data(y)
+
+            norm = 1.0 / math.sqrt(4 * math.pi * t)
+            return {v_dirichlet: (image, norm), v_dirichlet_dx: (image_dx, norm),
+                    v_dirichlet_sinh_form: (sinh, math.exp(-x * x / (4 * t)) / math.sqrt(math.pi * t))}
+
+        rng = np.random.default_rng(5)
+        t = np.exp(rng.uniform(math.log(0.5), math.log(1e8), 40))
+        x = rng.uniform(0.05, 2.5, 40) * np.sqrt(t)
+        tol = 10.0 ** rng.uniform(-13, -10, 40)
+        for route in (v_dirichlet, v_dirichlet_dx, v_dirichlet_sinh_form):
+            got = route(t, x, tol).value
+            for i in range(t.size):
+                kernel, outer = kernels(float(t[i]), float(x[i]))[route]
+                ref = outer * self.quadpack(kernel, float(t[i]), float(x[i]), tol[i] / outer)
+                assert abs(got[i] - ref) <= tol[i], (route.__name__, t[i], x[i])
+
+    def test_piece_needing_more_than_the_limit_fails(self):
+        rows = []
+
+        def fast_cosine(y):
+            rows.append(y.shape[0])
+            return np.cos(1e5 * y)
+
+        with pytest.raises(NumericsError):
+            _piecewise_quad(fast_cosine, [0.0, 1.0], 1e-12)
+        # it was split until it held exactly _QUAD_LIMIT subintervals
+        assert sum(rows) == 2 * _QUAD_LIMIT - 1
+
+    def test_piece_within_the_limit_converges(self):
+        value, err, evaluations = _piecewise_quad(lambda y: np.cos(1e3 * y), [0.0, 1.0], 1e-12)
+        assert abs(value[0] - math.sin(1e3) / 1e3) <= 1e-12
+        assert err[0] <= 1e-12 and evaluations < 21 * (2 * _QUAD_LIMIT - 1)
 
 
 class TestVDirichlet:
@@ -89,7 +208,7 @@ class TestVDirichlet:
             direct = v_dirichlet(t1 + t2, x, tol=1e-10).value
             y_hi = x + 8.0 * math.sqrt(t2) + 12.0
             ys = np.linspace(0.0, y_hi, 256)
-            vals = np.array([v_dirichlet(t1, float(y), tol=1e-11).value for y in ys])
+            vals = v_dirichlet(t1, ys, tol=1e-11).value
             spline = CubicSpline(ys, vals)
 
             # the image kernel of v_dirichlet, applied to v(t1, .) over t2

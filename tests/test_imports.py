@@ -213,6 +213,16 @@ print(json.dumps(scipy_modules()))
 """
 
 
+# A fresh interpreter runs the two verify suites that integrate the heat
+# kernel.
+VERIFY_HEAT = "import json, sys\n" + SCIPY_MODULES + r"""
+from kppfront.cli import main
+
+rcs = [main(["verify", "--suite", suite, "--out", sys.argv[1]]) for suite in ("heat", "critical")]
+print(json.dumps({"rcs": rcs, "seen": scipy_modules()}))
+"""
+
+
 @pytest.fixture(scope="module")
 def cold_start(tmp_path_factory):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -226,7 +236,9 @@ def cold_start(tmp_path_factory):
 
     out, stderr = last_json_line(COLD_START, str(tmp_path_factory.mktemp("run")))
     assert out["rcs"] == [0, 0, 0], stderr
-    return dict(out["seen"], lapack_only=last_json_line(LAPACK_ONLY)[0])
+    verify, stderr = last_json_line(VERIFY_HEAT, str(tmp_path_factory.mktemp("verify")))
+    assert verify["rcs"] == [0, 0], stderr
+    return dict(out["seen"], lapack_only=last_json_line(LAPACK_ONLY)[0], verify=verify["seen"])
 
 
 def test_import_loads_no_scipy(cold_start):
@@ -244,3 +256,10 @@ def test_simulate_loads_only_scipy_linalg(cold_start):
     loaded = set(cold_start["simulate"])
     assert "scipy.linalg.lapack" in loaded
     assert loaded <= set(cold_start["lapack_only"]), sorted(loaded - set(cold_start["lapack_only"]))
+
+
+def test_heat_verify_loads_no_scipy_integrate(cold_start):
+    # the heat-kernel quadrature is numpy's own; scipy.integrate would also
+    # load scipy.optimize, scipy.sparse and scipy.spatial
+    loaded = cold_start["verify"]
+    assert [m for m in loaded if m.split(".")[:2] == ["scipy", "integrate"]] == []
