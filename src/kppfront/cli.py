@@ -6,6 +6,10 @@ bytes; simulate and verify drop a manifest carrying the config digest
 (manifest.json, and manifest_verify_<suite>.json so that the four suites can
 share one directory).
 
+This module writes and parses every CSV of a run directory except the heat
+sweep, which heatkernel.sweep_to_csv writes; a file that report reads back
+(trace, fit, verify) has one column tuple that its writer and reader share.
+
 Only cmd_verify imports ansatz and heatkernel, and with them scipy; simulate
 loads what scipy.linalg pulls in, through sim.Stepper.
 """
@@ -16,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +29,7 @@ import numpy as np
 from . import __version__, frontfit, sim
 from .errors import DomainError, NumericsError
 from .io import atomic_write_text, read_csv_columns, write_csv
-from .report import reports_to_csv
+from .report import VerificationReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,6 +38,16 @@ EXIT_VERIFICATION = 3
 
 SUITES = ("supersolutions", "subsolutions", "critical", "heat")
 _R_SET = (-1.0, 0.0, 0.5, 1.0, 1.25)
+
+TRACE_COLUMNS = ("t", "x_m")
+FIT_COLUMNS = ("estimator", "coefficient", "r_hat", "intercept", "residual_max",
+               "t_min", "t_max", "r_hat_pairwise")
+VERIFY_COLUMNS = ("check", "verdict", "worst_signed_residual", "closed_form_mismatch",
+                  "domain", "details")
+# the coefficient column of a fit CSV: "r" for the ln t coefficient, this
+# for the ln ln t coefficient of the critical fit
+LNLN_LABEL = "lnln_coeff"
+ESTIMATOR = "least_squares"
 
 
 def _digest(path: Path) -> str:
@@ -67,7 +82,7 @@ def cmd_simulate(args) -> int:
     outputs = []
     for level, trace in sorted(result.traces.items()):
         rel = f"traces/level_{level:g}.csv"
-        trace.to_csv(out_dir / rel)
+        write_csv(out_dir / rel, TRACE_COLUMNS, zip(trace.times, trace.positions))
         outputs.append(rel)
     for t_snap, snap in sorted(result.snapshots.items()):
         rel = f"snapshots/t_{t_snap:g}.csv"
@@ -85,6 +100,31 @@ def cmd_simulate(args) -> int:
     )
     print(f"simulate k={config.k:g}: {len(outputs)} files under {out_dir}")
     return EXIT_OK
+
+
+def text_block(report: VerificationReport) -> str:
+    lines = [f"[{report.verdict.upper()}] {report.name}"]
+    for key, val in report.domain.items():
+        lines.append(f"    domain {key}: {val}")
+    lines.append(f"    worst signed residual: {report.worst_signed_residual:.6e}")
+    if not math.isnan(report.closed_form_mismatch):
+        lines.append(f"    closed-form vs FD mismatch: {report.closed_form_mismatch:.3e}")
+    for key, val in report.details.items():
+        lines.append(f"    {key}: {val}")
+    return "\n".join(lines)
+
+
+def _kv_cell(mapping: dict) -> str:
+    # detail values may be tuples; keep the cell comma-free for the flat CSV
+    return ";".join(f"{k}={str(v).replace(',', ' ')}" for k, v in mapping.items())
+
+
+def reports_to_csv(reports: list[VerificationReport], path) -> None:
+    write_csv(path, VERIFY_COLUMNS, [
+        (r.name, r.verdict, r.worst_signed_residual, r.closed_form_mismatch,
+         _kv_cell(r.domain), _kv_cell(r.details))
+        for r in reports
+    ])
 
 
 def cmd_verify(args) -> int:
@@ -123,7 +163,7 @@ def cmd_verify(args) -> int:
         outputs.append(sweep)
     failed = [r for r in reports if not r.passed]
     for r in reports:
-        print(r.text_block())
+        print(text_block(r))
     # one manifest per suite: the suites share an --out directory
     _write_manifest(
         out_dir, f"verify {args.suite}",
@@ -150,11 +190,22 @@ def _columns(path: Path, names: tuple[str, ...]) -> dict[str, list]:
 
 
 def _trace_from_csv(path: Path) -> sim.FrontTrace:
-    cols = _columns(path, ("t", "x_m"))
-    return sim.FrontTrace(
-        times=np.asarray(cols["t"], dtype=float),
-        positions=np.asarray(cols["x_m"], dtype=float),
-    )
+    cols = _columns(path, TRACE_COLUMNS)
+    times, positions = (np.asarray(cols[name], dtype=float) for name in TRACE_COLUMNS)
+    return sim.FrontTrace(times=times, positions=positions)
+
+
+def _fit_block(fit: frontfit.FitResult, label: str) -> str:
+    lines = [
+        f"estimator     : {ESTIMATOR}",
+        f"window        : t in [{fit.window[0]:g}, {fit.window[1]:g}]",
+        f"{label:<14}: {fit.r_hat:+.6f}",
+        f"intercept     : {fit.intercept:+.6f}",
+        f"residual_max  : {fit.residual_max:.3e}",
+    ]
+    if fit.r_hat_pairwise is not None:
+        lines.insert(3, f"pairwise      : {fit.r_hat_pairwise:+.6f}")
+    return "\n".join(lines)
 
 
 def cmd_fit(args) -> int:
@@ -168,13 +219,15 @@ def cmd_fit(args) -> int:
         print(f"malformed trace CSV: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.critical:
-        fit = frontfit.fit_critical(trace, args.t_min)
+        fit, label, suffix = frontfit.fit_critical(trace, args.t_min), LNLN_LABEL, "_critical"
     else:
-        fit = frontfit.fit_log_correction(trace, args.t_min)
+        fit, label, suffix = frontfit.fit_log_correction(trace, args.t_min), "r", ""
     out_dir = Path(args.out) if args.out else trace_path.parent.parent
-    suffix = "_critical" if args.critical else ""
-    fit.to_csv(out_dir / f"fit_{trace_path.stem}{suffix}.csv")
-    print(fit.report_block())
+    pairwise = math.nan if fit.r_hat_pairwise is None else fit.r_hat_pairwise
+    write_csv(out_dir / f"fit_{trace_path.stem}{suffix}.csv", FIT_COLUMNS,
+              [(ESTIMATOR, label, fit.r_hat, fit.intercept, fit.residual_max, *fit.window,
+                pairwise)])
+    print(_fit_block(fit, label))
     return EXIT_OK
 
 
@@ -216,7 +269,7 @@ def cmd_report(args) -> int:
             except ValueError as exc:
                 print(f"malformed fit CSV: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            if coeff == "lnln_coeff":
+            if coeff == LNLN_LABEL:
                 critical_rows.append((k, r_hat, residual, str(fpath)))
             else:
                 r_target = frontfit.drift_target(k)
@@ -224,7 +277,7 @@ def cmd_report(args) -> int:
     verdict_rows = []
     for vpath in sorted(run_dir.glob("**/verify_*.csv")):
         try:
-            cols = _columns(vpath, ("check", "verdict"))
+            cols = _columns(vpath, VERIFY_COLUMNS[:2])  # check, verdict
         except ValueError as exc:
             print(f"malformed verify CSV: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -38,35 +38,7 @@ class FitResult:
     intercept: float
     residual_max: float
     window: tuple[float, float]
-    estimator: str
     r_hat_pairwise: float | None = None
-    coefficient: str = "r"
-
-    def report_block(self) -> str:
-        lines = [
-            f"estimator     : {self.estimator}",
-            f"window        : t in [{self.window[0]:g}, {self.window[1]:g}]",
-            f"{self.coefficient:<14}: {self.r_hat:+.6f}",
-            f"intercept     : {self.intercept:+.6f}",
-            f"residual_max  : {self.residual_max:.3e}",
-        ]
-        if self.r_hat_pairwise is not None:
-            lines.insert(3, f"pairwise      : {self.r_hat_pairwise:+.6f}")
-        return "\n".join(lines)
-
-    def to_csv(self, path) -> None:
-        from .io import write_csv
-
-        write_csv(
-            path,
-            ("estimator", "coefficient", "r_hat", "intercept", "residual_max",
-             "t_min", "t_max", "r_hat_pairwise"),
-            [(
-                self.estimator, self.coefficient, self.r_hat, self.intercept,
-                self.residual_max, self.window[0], self.window[1],
-                self.r_hat_pairwise if self.r_hat_pairwise is not None else math.nan,
-            )],
-        )
 
 
 def _windowed(trace: FrontTrace, t_min: float, t_max: float | None = None):
@@ -99,9 +71,7 @@ def fit_log_correction(trace: FrontTrace, t_min: float, t_max: float | None = No
         intercept=intercept,
         residual_max=residual,
         window=(float(t[0]), float(t[-1])),
-        estimator="least_squares",
         r_hat_pairwise=pairwise,
-        coefficient="r",
     )
 
 
@@ -120,8 +90,6 @@ def fit_critical(trace: FrontTrace, t_min: float, t_max: float | None = None) ->
         intercept=intercept,
         residual_max=residual,
         window=(float(t[0]), float(t[-1])),
-        estimator="least_squares",
-        coefficient="lnln_coeff",
     )
 
 

@@ -183,7 +183,7 @@ def _dirichlet_edges(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     hi = x + (2.0 * np.sqrt(t * _TRUNC_LOG) + 10.0)  # > 10, so above the kink
     decades = []
     p = 10.0
-    while p < hi.max():
+    while p < hi.max(initial=0.0):
         decades.append(p)
         p *= 10.0
     s = np.sqrt(t)
@@ -193,10 +193,12 @@ def _dirichlet_edges(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sort(np.column_stack(cols), axis=1)
 
 
-def _dirichlet_integral(integrand, outer, t, x, tol, zero_at_boundary: bool) -> QuadratureResult:
+def _dirichlet_integral(integrand, outer, t, x, tol) -> QuadratureResult:
     """outer(t, x) times the integral of integrand over y > 0, to absolute
     tolerance tol on the scaled value, at every point of the broadcast t, x,
-    tol; with zero_at_boundary, points at x = 0 read 0 without quadrature."""
+    tol.  At x = 0 the image and sinh kernels vanish identically, so v reads
+    +0 there with error estimate 0.  A point where outer(t, x) underflows to
+    0 raises DomainError: no tolerance on the integral can meet tol there."""
     t, x, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, x, tol)))
     shape = t.shape
     t, x, tol = t.ravel(), x.ravel(), tol.ravel()
@@ -206,15 +208,12 @@ def _dirichlet_integral(integrand, outer, t, x, tol, zero_at_boundary: bool) -> 
     bad = ~((0.0 <= x) & (x < math.inf))
     if bad.any():
         raise DomainError(f"x must be finite and nonnegative, got {x[bad][0]}")
-    value, err = np.zeros(t.size), np.zeros(t.size)
-    run = x > 0.0 if zero_at_boundary else np.ones(t.size, dtype=bool)
-    evaluations = 0
-    if run.any():
-        t, x = t[run], x[run]
-        scale = outer(t, x)
-        res, res_err, evaluations = _piecewise_quad(
-            integrand, _dirichlet_edges(t, x), tol[run] / scale, t, x)
-        value[run], err[run] = scale * res, scale * res_err
+    scale = outer(t, x)
+    bad = scale == 0.0
+    if bad.any():
+        raise DomainError(f"outer factor underflows to 0 at t = {t[bad][0]:g}, x = {x[bad][0]:g}")
+    value, err, evaluations = _piecewise_quad(integrand, _dirichlet_edges(t, x), tol / scale, t, x)
+    value, err = scale * value, scale * err
     if shape == ():
         return QuadratureResult(float(value[0]), float(err[0]), evaluations)
     return QuadratureResult(value.reshape(shape), err.reshape(shape), evaluations)
@@ -246,18 +245,18 @@ def _sinh_norm(t, x):
 def v_dirichlet(t, x, tol=1e-12) -> QuadratureResult:
     """Half-line Dirichlet heat solution at (t, x) from the critical data;
     t, x and tol may be arrays that broadcast together."""
-    return _dirichlet_integral(_image_kernel, _gaussian_norm, t, x, tol, zero_at_boundary=True)
+    return _dirichlet_integral(_image_kernel, _gaussian_norm, t, x, tol)
 
 
 def v_dirichlet_dx(t, x, tol=1e-12) -> QuadratureResult:
     """Spatial derivative of v_dirichlet via the differentiated kernel."""
-    return _dirichlet_integral(_image_kernel_dx, _gaussian_norm, t, x, tol, zero_at_boundary=False)
+    return _dirichlet_integral(_image_kernel_dx, _gaussian_norm, t, x, tol)
 
 
 def v_dirichlet_sinh_form(t, x, tol=1e-12) -> QuadratureResult:
     """Independent route: e^{-x^2/4t}/sqrt(pi t) integral of e^{-y^2/4t}
     sinh(xy/2t) v0; cross-checks the image-kernel evaluation."""
-    return _dirichlet_integral(_sinh_kernel, _sinh_norm, t, x, tol, zero_at_boundary=True)
+    return _dirichlet_integral(_sinh_kernel, _sinh_norm, t, x, tol)
 
 
 def verify_midrange_band(t: float) -> VerificationReport:

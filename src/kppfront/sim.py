@@ -176,11 +176,6 @@ class FrontTrace:
         """d(t) = 2t - x_m(t), the drift behind the unit-speed-2 ray."""
         return 2.0 * self.times - self.positions
 
-    def to_csv(self, path) -> None:
-        from .io import write_csv
-
-        write_csv(path, ("t", "x_m"), zip(self.times, self.positions))
-
 
 @dataclass
 class SimResult:

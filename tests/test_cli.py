@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from kppfront.cli import main
-from kppfront.io import read_csv_columns
+from kppfront.cli import TRACE_COLUMNS, _trace_from_csv, main, reports_to_csv, text_block
+from kppfront.io import read_csv_columns, write_csv
+from kppfront.report import VerificationReport
 
 FAST_CONFIG = """
 # fast run for the command-line workflow
@@ -160,6 +161,78 @@ class TestFitCommand:
         assert main(["fit", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"malformed trace CSV: {bad}: ") and err.count("\n") == 1
+
+
+class TestRunDirectoryFormats:
+    """Each CSV of a run directory, as cli writes it and reads it back."""
+
+    def test_trace_roundtrip_17_digits(self, tmp_path):
+        # the columns simulate writes a trace with and fit reads it by
+        t = 1.2 ** np.arange(40)
+        x = 2.0 * t - 0.5 * np.log(t) + math.pi
+        out = tmp_path / "level_0.5.csv"
+        write_csv(out, TRACE_COLUMNS, zip(t, x))
+        trace = _trace_from_csv(out)
+        np.testing.assert_array_equal(trace.times, t)
+        np.testing.assert_array_equal(trace.positions, x)
+
+    def test_exact_headers_and_blocks(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 1\nt_end = 2\nsnapshot_times = 2\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        trace = tmp_path / "sim" / "traces" / "level_0.5.csv"
+        assert trace.read_text().splitlines()[0] == "t,x_m"
+
+        # d = 0.5 ln t - 3 - e with e symmetric in ln t: r = 0.5 exactly,
+        # intercept -3 - mean(e), largest residual 0.012
+        t = np.array([100.0, 200.0, 400.0, 800.0, 1600.0])
+        x = 2.0 * t - 0.5 * np.log(t) + 3.0 + np.array([0.0, 0.01, -0.01, 0.01, 0.0])
+        write_csv(trace, TRACE_COLUMNS, zip(t, x))
+        fit_header = "estimator,coefficient,r_hat,intercept,residual_max,t_min,t_max,r_hat_pairwise"
+        capsys.readouterr()
+        assert main(["fit", str(trace), "--t-min", "100"]) == 0
+        assert capsys.readouterr().out == (
+            "estimator     : least_squares\n"
+            "window        : t in [100, 1600]\n"
+            "r             : +0.500000\n"
+            "pairwise      : +0.500000\n"
+            "intercept     : -3.002000\n"
+            "residual_max  : 1.200e-02\n")
+        lines = (tmp_path / "sim" / "fit_level_0.5.csv").read_text().splitlines()
+        assert lines[0] == fit_header and lines[1].startswith("least_squares,r,")
+        assert main(["fit", str(trace), "--critical", "--t-min", "100"]) == 0
+        assert capsys.readouterr().out == (
+            "estimator     : least_squares\n"
+            "window        : t in [100, 1600]\n"
+            "lnln_coeff    : +5.870641\n"
+            "intercept     : +1.436532\n"
+            "residual_max  : 9.242e-02\n")
+        lines = (tmp_path / "sim" / "fit_level_0.5_critical.csv").read_text().splitlines()
+        assert lines[0] == fit_header and lines[1].startswith("least_squares,lnln_coeff,")
+        assert lines[1].endswith(",nan")
+
+        report = VerificationReport(name="psi_super_r1", domain={"t": (4, 1e6), "grid": "6x2"},
+                                    worst_signed_residual=-0.5, verdict="pass",
+                                    closed_form_mismatch=2e-9, details={"eps": 0.1})
+        reports_to_csv([report], tmp_path / "verify_x.csv")
+        assert (tmp_path / "verify_x.csv").read_text() == (
+            "check,verdict,worst_signed_residual,closed_form_mismatch,domain,details\n"
+            "psi_super_r1,pass,-0.5,2.0000000000000001e-09,t=(4  1000000.0);grid=6x2,eps=0.1\n")
+        assert text_block(report) == (
+            "[PASS] psi_super_r1\n"
+            "    domain t: (4, 1000000.0)\n"
+            "    domain grid: 6x2\n"
+            "    worst signed residual: -5.000000e-01\n"
+            "    closed-form vs FD mismatch: 2.000e-09\n"
+            "    eps: 0.1")
+
+    def test_report_reads_the_verify_csv_verify_writes(self, tmp_path, capsys):
+        reports = [VerificationReport(name=f"check_{v}", domain={}, worst_signed_residual=0.0,
+                                      verdict=v) for v in ("pass", "fail", "pass")]
+        reports_to_csv(reports, tmp_path / "verify_x.csv")
+        assert main(["report", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "verification checks: 3 total, 1 failed\n  [pass] check_pass\n  [fail] check_fail\n" in out
 
 
 # (check, domain) of every row each suite writes, in order: a dropped check or

@@ -47,18 +47,6 @@ class TestFitLogCorrection:
         with pytest.raises(DomainError, match="under-determined"):
             fit_log_correction(make_trace(t[:2], x[:2]), t_min=1.0)
 
-    def test_report_block_and_csv(self, tmp_path):
-        t = geometric_times(100.0, 3000.0)
-        x = 2.0 * t - 0.5 * np.log(t)
-        fit = fit_log_correction(make_trace(t, x), t_min=100.0)
-        block = fit.report_block()
-        assert "least_squares" in block and "r " in block
-        fit.to_csv(tmp_path / "fit.csv")
-        from kppfront.io import read_csv_columns
-
-        cols = read_csv_columns(tmp_path / "fit.csv")
-        np.testing.assert_allclose(cols["r_hat"][0], 0.5, atol=1e-12)
-
 
 class TestFitCritical:
     def test_exact_on_model_class(self):
@@ -68,7 +56,6 @@ class TestFitCritical:
         np.testing.assert_allclose(fit.r_hat, 1.0, atol=1e-10)
         np.testing.assert_allclose(fit.intercept, 2.0, atol=1e-9)
         assert fit.residual_max < 1e-10
-        assert fit.coefficient == "lnln_coeff"
 
     def test_null_model_gives_zero_coefficient(self):
         t = geometric_times(150.0, 100_000.0)

@@ -3,6 +3,7 @@ integrator against scalar calls and QUADPACK, asymptotic densities, gradient
 bound, weighted sups, and the kernel-form cross checks."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -157,8 +158,26 @@ class TestBatchedQuadrature:
 
 class TestVDirichlet:
     def test_boundary_value_zero(self):
-        assert v_dirichlet(7.0, 0.0).value == 0.0
-        assert v_dirichlet_sinh_form(7.0, 0.0).value == 0.0
+        # both kernels vanish identically at x = 0: the quadrature returns
+        # +0 (never -0, which a CSV would print as -0) with estimate 0
+        for route in (v_dirichlet, v_dirichlet_sinh_form):
+            for t in (1.0, 7.0, 1e8):
+                res = route(t, 0.0)
+                assert res.value == 0.0 and not np.signbit(res.value)
+                assert res.abs_error_estimate == 0.0
+
+    def test_empty_batch(self):
+        for route in (v_dirichlet, v_dirichlet_dx, v_dirichlet_sinh_form):
+            assert route(np.ones((0, 3)), 1.0).value.shape == (0, 3)
+
+    def test_sinh_form_rejects_an_underflowed_outer_factor(self):
+        # e^{-x^2/4t} is 0 at (3, 2e4): the sinh form cannot reach any
+        # tolerance there, while the image kernel still resolves v
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="t = 3, x = 20000"):
+                v_dirichlet_sinh_form(3.0, 2e4)
+            assert v_dirichlet(3.0, 2e4).value == pytest.approx(1.9004e-9, rel=1e-4)
 
     def test_maximum_principle_band(self):
         for t, x in [(0.3, 0.5), (2.0, 1.0), (50.0, 10.0), (1e4, 150.0)]:

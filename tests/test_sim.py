@@ -11,7 +11,6 @@ import scipy.sparse.linalg as spla
 
 from kppfront import (
     DomainError,
-    FrontTrace,
     GridFunction,
     LevelNotAttainedError,
     SimConfig,
@@ -20,7 +19,6 @@ from kppfront import (
     simulate,
 )
 from kppfront.errors import NumericsError
-from kppfront.io import read_csv_columns
 from kppfront.sim import (
     DT_MAX,
     Stepper,
@@ -480,19 +478,6 @@ class TestSimulate:
         mask = tr.times >= 10.0
         speeds = np.diff(tr.positions[mask]) / np.diff(tr.times[mask])
         assert np.all(np.abs(speeds - 2.0) < 0.2)
-
-
-class TestCsvExport:
-    def test_roundtrip_17_digits(self, tmp_path):
-        # the trace writer simulate's CLI output goes through
-        t = 1.2 ** np.arange(40)
-        trace = FrontTrace(times=t, positions=2.0 * t - 0.5 * np.log(t) + math.pi)
-        out = tmp_path / "level_0.5.csv"
-        trace.to_csv(out)
-        cols = read_csv_columns(out)
-        assert list(cols) == ["t", "x_m"]
-        np.testing.assert_array_equal(np.asarray(cols["t"]), trace.times)
-        np.testing.assert_array_equal(np.asarray(cols["x_m"]), trace.positions)
 
 
 class TestStepSchedule:
