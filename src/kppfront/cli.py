@@ -82,11 +82,11 @@ def cmd_simulate(args) -> int:
     outputs = []
     for level, trace in sorted(result.traces.items()):
         rel = f"traces/level_{level:g}.csv"
-        write_csv(out_dir / rel, TRACE_COLUMNS, zip(trace.times, trace.positions))
+        write_csv(out_dir / rel, TRACE_COLUMNS, zip(trace.times.tolist(), trace.positions.tolist()))
         outputs.append(rel)
     for t_snap, snap in sorted(result.snapshots.items()):
         rel = f"snapshots/t_{t_snap:g}.csv"
-        write_csv(out_dir / rel, ("xi", "u"), zip(snap.grid(), snap.values))
+        write_csv(out_dir / rel, ("xi", "u"), zip(snap.grid().tolist(), snap.values.tolist()))
         outputs.append(rel)
     _write_manifest(
         out_dir, "simulate", _digest(config_path), outputs,

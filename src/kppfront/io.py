@@ -10,6 +10,8 @@ FLOAT_FMT = "%.17g"
 
 
 def _format_cell(x) -> str:
+    if isinstance(x, float):  # np.float64 too: most cells, so tested first
+        return FLOAT_FMT % x
     if isinstance(x, str):
         return x
     if isinstance(x, bool):

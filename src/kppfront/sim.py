@@ -281,10 +281,15 @@ class Stepper:
                 f"instability: values reached [{lo:.3e}, {hi:.3e}] outside [0, 1]"
             )
         if lo < 0.0 or hi > 1.0:
-            clamped = np.clip(out, 0.0, self._ceiling)
-            excess = np.abs(self.to_linear(out - clamped)) - CLAMP_ALLOWANCE
+            # only the nodes a whole-array clip would change: below 0 (-0.0
+            # included, which clip turns into +0.0) or above the ceiling
+            idx = np.flatnonzero(np.signbit(out) | (out > self._ceiling))
+            over = out[idx]
+            clamped = np.clip(over, 0.0, self._ceiling[idx])
+            with np.errstate(under="ignore"):
+                excess = np.abs((over - clamped) * self._weight_down[idx]) - CLAMP_ALLOWANCE
             self.clamp_total += float(excess[excess > 0.0].sum())
-            out = clamped
+            out[idx] = clamped
         return out
 
     def step_values(self, u: np.ndarray) -> np.ndarray:

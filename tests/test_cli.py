@@ -176,6 +176,17 @@ class TestRunDirectoryFormats:
         np.testing.assert_array_equal(trace.times, t)
         np.testing.assert_array_equal(trace.positions, x)
 
+    def test_snapshot_bytes(self, tmp_path):
+        # simulate writes snapshot columns as Python floats; numpy scalars
+        # must give the same bytes, signed zero and the extremes included
+        xi = np.array([-40.0, -39.95, 0.0, 1e308])
+        u = np.array([1.0, -0.0, 5e-324, 2.0 / 3.0])
+        expected = ("xi,u\n-40,1\n-39.950000000000003,-0\n0,4.9406564584124654e-324\n"
+                    "1e+308,0.66666666666666663\n")
+        for rows in (zip(xi.tolist(), u.tolist()), zip(xi, u)):
+            write_csv(tmp_path / "t_0.csv", ("xi", "u"), rows)
+            assert (tmp_path / "t_0.csv").read_bytes() == expected.encode()
+
     def test_exact_headers_and_blocks(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 1\nt_end = 2\nsnapshot_times = 2\n", encoding="utf-8")

@@ -20,6 +20,7 @@ from kppfront import (
 )
 from kppfront.errors import NumericsError
 from kppfront.sim import (
+    CLAMP_ALLOWANCE,
     DT_MAX,
     Stepper,
     _stencil_rho,
@@ -307,6 +308,36 @@ class TestStep:
         np.testing.assert_allclose(stepper.to_linear(out), 1.0, rtol=0.0, atol=1e-15)
         expected = (n - 2) * d * (1.0 - 2.0 * dt) / (1.0 - dt)
         np.testing.assert_allclose(stepper.clamp_total, expected, rtol=0.02)
+
+    def test_clamp_matches_the_whole_array_clip(self):
+        # the clamp visits only the nodes outside [0, ceiling]; forced solver
+        # output below 0 (-0.0 included), above the ceiling by more and by
+        # less than CLAMP_ALLOWANCE, and above it at xi = 709 (weight 0,
+        # ceiling finite) must give the whole-array clip and excess sum
+        n = 297  # xi in [680, 709.6]: weight 0 from xi ~ 708.4, ceiling finite
+        stepper = Stepper(n, 0.1, 0.1, xi0=680.0)
+        rng = np.random.default_rng(5)
+        u = np.linspace(0.9, 0.1, n)
+        nodes = rng.permutation(np.arange(1, 280))
+        u[nodes[:60]] = 1.0 + rng.uniform(0.0, 5e-10, 60)
+        u[nodes[60:100]] = -rng.uniform(0.0, 5e-10, 40)
+        u[nodes[100:110]] = 1.0 + 1e-13
+        forced = stepper.to_weighted(u)
+        forced[nodes[110]] = -0.0
+        forced[290] = 1e308  # xi = 709: above e^709, weight 0
+        assert forced[290] > stepper._ceiling[290] and stepper._weight_down[290] == 0.0
+
+        def forced_solve(d, e, b, overwrite_b):
+            b[:] = forced[1:-1]
+            return b, 0
+
+        stepper._dpttrs = forced_solve
+        out = stepper.step_weighted(forced)
+        clipped = np.clip(forced, 0.0, stepper._ceiling)
+        with np.errstate(under="ignore"):
+            excess = np.abs((forced - clipped) * stepper._weight_down) - CLAMP_ALLOWANCE
+        assert out.tobytes() == clipped.tobytes()
+        assert stepper.clamp_total == float(excess[excess > 0.0].sum()) > 0.0
 
     def test_step_leaves_input_untouched(self):
         stepper = Stepper(200, 0.05, 0.01)

@@ -144,11 +144,12 @@ class TestPhiGamma:
         assert len(launches) == 1
 
     def test_unit_orbit_checks_reach_every_gamma(self, rebuilt_unit_orbit):
-        # phi' >= 0 at one node of the gamma = 1 orbit: the checks run there
-        # once, and phi_gamma must not hand out a profile scaled from it
+        # phi' >= 0 at one node (z = 20) of the gamma = 1 orbit: the checks
+        # run there once, and phi_gamma must not hand out a profile scaled
+        # from it
         def bumped(*args):
             vals, dvals = _rk4_wave(*args)
-            dvals[20_000] = 1e-9
+            dvals[int(round(20.0 / waves.PROFILE_DZ))] = 1e-9
             return vals, dvals
 
         rebuilt_unit_orbit(bumped)
@@ -186,6 +187,60 @@ class TestPhiGamma:
 
     def test_residual(self):
         assert ode_residual(phi_gamma(2.0)) <= 1e-8
+
+
+def _profiles_from(**constants):
+    """minimal_wave() and phi_gamma(e^2) built from patched module constants.
+    The caches are cleared before and after, so neither profile reaches
+    another caller."""
+    caches = (minimal_wave, waves._unit_orbit, phi_gamma)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in constants.items():
+            mp.setattr(waves, name, value)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            return minimal_wave(), phi_gamma(math.exp(2.0))
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
+
+class TestGridConvergence:
+    """The profiles on PROFILE_DZ against RK4 at dz = 1e-3, on the 1e-3
+    nodes of z in [-25, 45] (phi_gamma: [0, 45])."""
+
+    FINE_DZ = 1e-3
+    FINE_AMPLITUDE = 3.3085967671439886e-06  # _START_AMPLITUDE found for 1e-3
+
+    @pytest.fixture(scope="class")
+    def fine(self):
+        wave, _ = _profiles_from(PROFILE_DZ=self.FINE_DZ, _START_AMPLITUDE=self.FINE_AMPLITUDE)
+        z = wave.grid()
+        keep = (z >= -25.0) & (z <= 45.0)
+        g = math.exp(2.0)
+        n = int(round(45.0 / self.FINE_DZ))
+        phi, _ = _rk4_wave(0.5 / g, 0.0, n, self.FINE_DZ, g)
+        return z[keep], wave.values[keep], self.FINE_DZ * np.arange(n + 1), phi
+
+    @staticmethod
+    def gaps(fine, wave, phi):
+        zw, uw, zp, up = fine
+        return np.max(np.abs(wave(zw) - uw)), np.max(np.abs(phi(zp) - up))
+
+    def test_profiles_match_a_fine_integration(self, fine, wave):
+        # measured: U 2.7e-14; phi_gamma(e^2) 1.1e-13 at z = 0.5, where
+        # phi'' is largest (RK4's own error on the 4e-3 grid: an integration
+        # of phi_gamma's equation at 4e-3 is off by the same amount there)
+        wave_gap, phi_gap = self.gaps(fine, wave, phi_gamma(math.exp(2.0)))
+        assert wave_gap <= 1e-13
+        assert phi_gap <= 2e-13
+
+    def test_a_coarser_grid_fails(self, fine):
+        # negative control: at dz = 1e-2 the gaps are 9.6e-13 and 4.2e-12
+        wave_gap, phi_gap = self.gaps(fine, *_profiles_from(PROFILE_DZ=1e-2))
+        assert wave_gap > 1e-13
+        assert phi_gap > 2e-13
 
 
 class TestCachedProfilesReadOnly:
