@@ -1,12 +1,12 @@
-"""Linear heat solutions behind the critical-case analysis, by adaptive
-Gauss-Kronrod quadrature of kernel integrals.
+"""Linear heat solutions behind the critical-case analysis, by Gauss-Kronrod
+quadrature of kernel integrals with per-piece panel doubling.
 
 The one family covered is the half-line Dirichlet solution v(t, x) from the
 piecewise data (1 on (0,1], 1/x^2 beyond), with its x-derivative and an
 independent sinh-form route.  Each route takes t, x and tol as floats or as
-arrays that broadcast together; an array is integrated in one adaptive pass
-that evaluates the 21-point Gauss-Kronrod rule on every open subinterval of
-every point in one numpy call per round of bisection.  A point's result does
+arrays that broadcast together; an array is integrated in one pass whose
+every round evaluates the 21-point Gauss-Kronrod rule on the equal panels of
+every open piece of every point in one numpy call.  A point's result does
 not depend on the other points of its batch.  The kernels are arranged so no
 catastrophic cancellation or overflow occurs: the image kernel is evaluated as
 exp(-(x-y)^2/4t) * (-expm1(-xy/t)).
@@ -24,9 +24,9 @@ from .report import VerificationReport
 
 # Gaussian factor below 1e-18 of its peak is dropped.
 _TRUNC_LOG = math.log(1e18)
-# Subintervals one piece of a quadrature may be split into, and the relative
-# tolerance of every piece.
-_QUAD_LIMIT = 300
+# Most equal panels one piece of a quadrature may be split into (a power of
+# two), and the relative tolerance of every piece.
+_QUAD_LIMIT = 256
 _EPSREL = 1e-11
 # Absolute quadrature tolerance of every verification (and of the critical
 # certificates in ansatz).
@@ -113,58 +113,34 @@ def _piecewise_quad(f, edges, tol, *params) -> tuple[np.ndarray, np.ndarray, int
     whose edges do not increase is skipped, so a row may be padded at its end
     by repeating its last edge.  f is called as in _gk21, with params holding
     one value per point.  Each piece has epsabs = tol / (2 pieces) and
-    relative tolerance _EPSREL, and is refined until its error estimates sum
-    to at most max(epsabs, _EPSREL |integral|) or it holds _QUAD_LIMIT
-    subintervals.  Each round bisects, in every piece still open, its
-    worst subinterval and every one whose estimate exceeds an equal share of
-    the piece's bound, and evaluates all new subintervals at once.  A point
-    whose summed estimate exceeds max(tol, |value| 1e-10, 1e-300), or is
-    NaN, raises NumericsError."""
+    relative tolerance _EPSREL.  Round j applies the rule to 2^j equal panels
+    of every piece still open, all in one call, and closes a piece once its
+    panels' estimates sum to at most max(epsabs, _EPSREL |integral|) or it
+    holds _QUAD_LIMIT panels.  A point whose summed estimate exceeds
+    max(tol, |value| 1e-10, 1e-300), or is NaN, raises NumericsError."""
     edges = np.atleast_2d(np.asarray(edges, dtype=float))
     n = edges.shape[0]
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
     lo, hi = edges[:, :-1], edges[:, 1:]
     live = hi > lo
     point = np.nonzero(live)[0]  # the point of each piece, pieces in row order
-    n_pieces = point.size
     epsabs = (0.5 * tol / np.maximum(live.sum(axis=1), 1))[point]
     params = [np.broadcast_to(np.asarray(p, dtype=float), (n,))[point] for p in params]
-    nsub = np.ones(n_pieces, dtype=int)
-    value, error = np.zeros(n_pieces), np.zeros(n_pieces)
-    # the open subintervals: edges, piece, Kronrod value, error estimate
-    a, b, piece = lo[live], hi[live], np.arange(n_pieces)
-    area, err = _gk21(f, a, b, params)
-    evaluations = 21 * a.size
-    while piece.size:
-        open_ = np.zeros(n_pieces, dtype=bool)
-        open_[piece] = True
-        value[open_] = np.bincount(piece, area, n_pieces)[open_]
-        error[open_] = np.bincount(piece, err, n_pieces)[open_]
-        bound = np.maximum(epsabs, _EPSREL * np.abs(value))
+    lo, hi = lo[live], hi[live]
+    value, error = np.zeros(point.size), np.zeros(point.size)
+    open_, panels, evaluations = np.arange(point.size), 1, 0
+    while open_.size:
+        frac = np.arange(panels + 1) / panels
+        cuts = lo[open_, None] * (1.0 - frac) + hi[open_, None] * frac
+        area, err = _gk21(f, cuts[:, :-1].ravel(), cuts[:, 1:].ravel(),
+                          [np.repeat(p[open_], panels) for p in params])
+        evaluations += 21 * area.size
+        value[open_] = area.reshape(-1, panels).sum(axis=1)
+        error[open_] = err.reshape(-1, panels).sum(axis=1)
         # negated so that a NaN estimate stays open until the limit
-        more = open_ & ~(error <= bound) & (nsub < _QUAD_LIMIT)
-        keep = more[piece]
-        a, b, piece, area, err = a[keep], b[keep], piece[keep], area[keep], err[keep]
-        if not piece.size:
-            break
-        # rank of each subinterval in its piece, largest estimate first
-        order = np.lexsort((-err, piece))
-        ranked = piece[order]
-        rank = np.empty(piece.size, dtype=int)
-        rank[order] = np.arange(piece.size) - np.searchsorted(ranked, ranked)
-        split = (((rank == 0) | ~(err <= bound[piece] / nsub[piece]))
-                 & (rank < _QUAD_LIMIT - nsub[piece]))
-        nsub += np.bincount(piece[split], minlength=n_pieces)
-        mid = 0.5 * (a[split] + b[split])
-        new_a, new_b = np.repeat(a[split], 2), np.repeat(b[split], 2)
-        new_a[1::2] = new_b[::2] = mid
-        new_piece = np.repeat(piece[split], 2)
-        new_area, new_err = _gk21(f, new_a, new_b, [p[new_piece] for p in params])
-        evaluations += 21 * new_a.size
-        stay = ~split
-        a, b = np.concatenate([a[stay], new_a]), np.concatenate([b[stay], new_b])
-        piece = np.concatenate([piece[stay], new_piece])
-        area, err = np.concatenate([area[stay], new_area]), np.concatenate([err[stay], new_err])
+        more = ~(error[open_] <= np.maximum(epsabs[open_], _EPSREL * np.abs(value[open_])))
+        open_ = open_[more & (panels < _QUAD_LIMIT)]
+        panels *= 2
     total, total_err = np.bincount(point, value, n), np.bincount(point, error, n)
     # negated so that a NaN estimate fails too
     failed = np.nonzero(~(total_err <= np.maximum(np.maximum(tol, np.abs(total) * 1e-10), 1e-300)))[0]
@@ -176,18 +152,21 @@ def _piecewise_quad(f, edges, tol, *params) -> tuple[np.ndarray, np.ndarray, int
 
 def _dirichlet_edges(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Quadrature edges over y > 0 at each point of the 1-d arrays t, x: 0,
-    the kink y = 1 of the data, x - sqrt t, x and x + sqrt t where they fall
-    inside, the decades 10, 100, ... (the 1/y^2 tail of the data decays over
-    decades), and the truncation edge x + radius.  One increasing row per
-    point, padded at its end with repeats of the truncation edge."""
-    hi = x + (2.0 * np.sqrt(t * _TRUNC_LOG) + 10.0)  # > 10, so above the kink
+    the kink y = 1 of the data, the truncation edge x + radius, and x - radius,
+    x - sqrt t, x, x + sqrt t and the decades 10, 100, ... (the 1/y^2 tail of
+    the data decays over decades) where they fall inside.  The edge x - radius
+    keeps the Gaussian flank of every piece within about 13 sqrt t, which
+    equal panels resolve even at x >> sqrt t.  One increasing row per point,
+    padded at its end with repeats of x + radius."""
+    s, radius = np.sqrt(t), 2.0 * np.sqrt(t * _TRUNC_LOG) + 10.0
+    hi = x + radius  # radius > 10, so hi is above the kink
     decades = []
     p = 10.0
     while p < hi.max(initial=0.0):
         decades.append(p)
         p *= 10.0
-    s = np.sqrt(t)
-    inside = np.column_stack([x - s, x, x + s, np.broadcast_to(decades, (x.size, len(decades)))])
+    inside = np.column_stack([x - radius, x - s, x, x + s,
+                              np.broadcast_to(decades, (x.size, len(decades)))])
     inside = np.where((inside > 0.0) & (inside < hi[:, None]), inside, hi[:, None])
     cols = [np.zeros_like(x), np.ones_like(x), *inside.T, hi]
     return np.sort(np.column_stack(cols), axis=1)

@@ -79,21 +79,24 @@ class TestBatchedQuadrature:
 
     POINTS = [(0.5, 0.3, 1e-12), (3.0, 1.0, 1e-13), (40.0, 12.0, 1e-10),
               (1e4, 150.0, 1e-13), (1e8, 2e4, 1e-12), (7.0, 0.0, 1e-12)]
+    # x >> sqrt t: the sinh form's outer factor underflows there (DomainError)
+    FAR_POINTS = [(3.0, 2e4, 1e-12), (1.0, 3e3, 1e-13)]
 
     @pytest.mark.parametrize("route", [v_dirichlet, v_dirichlet_dx, v_dirichlet_sinh_form],
                              ids=lambda f: f.__name__)
     def test_point_alone_and_in_a_batch_bit_identical(self, route):
-        t, x, tol = map(np.array, zip(*self.POINTS))
+        points = self.POINTS + (self.FAR_POINTS if route is not v_dirichlet_sinh_form else [])
+        t, x, tol = map(np.array, zip(*points))
         batch = route(t, x, tol)
         assert isinstance(batch.evaluations, int)
-        for i, point in enumerate(self.POINTS):
+        for i, point in enumerate(points):
             alone = route(*point)
             assert isinstance(alone.value, float)
             assert alone.value == batch.value[i]
             assert alone.abs_error_estimate == batch.abs_error_estimate[i]
         # a 2-d batch, mixed with other points, gives the same values again
         grid = route(t[:, None], np.stack([x, 0.5 * x], axis=1), tol[:, None])
-        assert grid.value.shape == (len(self.POINTS), 2)
+        assert grid.value.shape == (len(points), 2)
         np.testing.assert_array_equal(grid.value[:, 0], batch.value)
 
     @staticmethod
@@ -177,7 +180,22 @@ class TestVDirichlet:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match="t = 3, x = 20000"):
                 v_dirichlet_sinh_form(3.0, 2e4)
-            assert v_dirichlet(3.0, 2e4).value == pytest.approx(1.9004e-9, rel=1e-4)
+            # far from the boundary and the kink, v = 1/x^2 + 6t/x^4 + 60t^2/x^6 + ...
+            # (the heat semigroup on the 1/y^2 data): 2.5000001125e-9 here
+            assert v_dirichlet(3.0, 2e4).value == pytest.approx(2.5000001125e-9, rel=1e-9)
+
+    @pytest.mark.parametrize("ratio", [1e3, 1e4, 3e4])
+    @pytest.mark.parametrize("t", [0.5, 3.0, 100.0, 1e4])
+    def test_far_field_matches_the_expansion(self, t, ratio):
+        # at x >> sqrt t, v = 1/x^2 + 6t/x^4 and v_x = -2/x^3 - 24t/x^5, up to
+        # relative terms below 200 (sqrt t / x)^4 <= 2e-10.  Without the lower
+        # truncation edge, the piece left of x - sqrt t is far longer than the
+        # Gaussian flank it holds, and its rule reads v about 24% low
+        x = ratio * math.sqrt(t)
+        v, dv = 1.0 / x**2 + 6.0 * t / x**4, -2.0 / x**3 - 24.0 * t / x**5
+        assert abs(v_dirichlet(t, x, 1e-9 * v).value - v) <= 2e-9 * v
+        assert abs(v_dirichlet_dx(t, x, 1e-9 * abs(dv)).value - dv) <= 2e-9 * abs(dv)
+        assert v_dirichlet(t, x, 1e-13).evaluations <= 1000
 
     def test_maximum_principle_band(self):
         for t, x in [(0.3, 0.5), (2.0, 1.0), (50.0, 10.0), (1e4, 150.0)]:
