@@ -118,21 +118,18 @@ def critical_residual_comparison(trace: FrontTrace, t_min: float, t_max: float |
     }
 
 
-def _sup_distance(state: GridFunction, t: float, profile: WaveProfile, center: float, h: float) -> float:
+def wave_distance(state: GridFunction, t: float, profile: WaveProfile, center: float) -> tuple[float, float]:
+    """Shift-minimized sup distance on x >= 0 between the state and the wave
+    profile anchored at `center`; golden-section over |h| <= 10."""
     x = state.grid() + 2.0 * t
     mask = x >= 0.0
     if not np.any(mask):
         raise DomainError("state has no nodes with x >= 0")
     u = state.values[mask]
-    ref = profile(x[mask] - center + h)
-    return float(np.abs(u - ref).max())
+    z = x[mask] - center
 
-
-def wave_distance(state: GridFunction, t: float, profile: WaveProfile, center: float) -> tuple[float, float]:
-    """Shift-minimized sup distance on x >= 0 between the state and the wave
-    profile anchored at `center`; golden-section over |h| <= 10."""
     def f(h: float) -> float:
-        return _sup_distance(state, t, profile, center, h)
+        return float(np.abs(u - profile(z + h)).max())
 
     scan = np.linspace(-SHIFT_BOUND, SHIFT_BOUND, 81)
     vals = [f(h) for h in scan]

@@ -22,8 +22,6 @@ import numpy as np
 from .errors import DomainError, NumericsError
 from .report import VerificationReport
 
-# Gaussian factor below 1e-18 of its peak is dropped.
-_TRUNC_LOG = math.log(1e18)
 # Most equal panels one piece of a quadrature may be split into (a power of
 # two), and the relative tolerance of every piece.
 _QUAD_LIMIT = 256
@@ -150,6 +148,11 @@ def _piecewise_quad(f, edges, tol, *params) -> tuple[np.ndarray, np.ndarray, int
     return total, total_err, evaluations
 
 
+def _truncation_radius(t):
+    # the kept half-width about x: the Gaussian factor is below 1e-18 of its peak beyond it
+    return 2.0 * np.sqrt(t * math.log(1e18)) + 10.0
+
+
 def _dirichlet_edges(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Quadrature edges over y > 0 at each point of the 1-d arrays t, x: 0,
     the kink y = 1 of the data, the truncation edge x + radius, and x - radius,
@@ -158,7 +161,7 @@ def _dirichlet_edges(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     keeps the Gaussian flank of every piece within about 13 sqrt t, which
     equal panels resolve even at x >> sqrt t.  One increasing row per point,
     padded at its end with repeats of x + radius."""
-    s, radius = np.sqrt(t), 2.0 * np.sqrt(t * _TRUNC_LOG) + 10.0
+    s, radius = np.sqrt(t), _truncation_radius(t)
     hi = x + radius  # radius > 10, so hi is above the kink
     decades = []
     p = 10.0
@@ -176,8 +179,7 @@ def _dirichlet_integral(integrand, outer, t, x, tol) -> QuadratureResult:
     """outer(t, x) times the integral of integrand over y > 0, to absolute
     tolerance tol on the scaled value, at every point of the broadcast t, x,
     tol.  At x = 0 the image and sinh kernels vanish identically, so v reads
-    +0 there with error estimate 0.  A point where outer(t, x) underflows to
-    0 raises DomainError: no tolerance on the integral can meet tol there."""
+    +0 there with error estimate 0."""
     t, x, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, x, tol)))
     shape = t.shape
     t, x, tol = t.ravel(), x.ravel(), tol.ravel()
@@ -188,9 +190,6 @@ def _dirichlet_integral(integrand, outer, t, x, tol) -> QuadratureResult:
     if bad.any():
         raise DomainError(f"x must be finite and nonnegative, got {x[bad][0]}")
     scale = outer(t, x)
-    bad = scale == 0.0
-    if bad.any():
-        raise DomainError(f"outer factor underflows to 0 at t = {t[bad][0]:g}, x = {x[bad][0]:g}")
     value, err, evaluations = _piecewise_quad(integrand, _dirichlet_edges(t, x), tol / scale, t, x)
     value, err = scale * value, scale * err
     if shape == ():
@@ -218,6 +217,10 @@ def _sinh_kernel(y, t, x):
 
 
 def _sinh_norm(t, x):
+    # sinh(xy/2t) takes y < x + radius, and overflows past arcsinh(DBL_MAX) = 710.476
+    bad = x * (x + _truncation_radius(t)) / (2.0 * t) > np.arcsinh(np.finfo(float).max)
+    if bad.any():
+        raise DomainError(f"sinh kernel overflows at t = {t[bad][0]:g}, x = {x[bad][0]:g}")
     return np.exp(-x * x / (4.0 * t)) / np.sqrt(math.pi * t)
 
 

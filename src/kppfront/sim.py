@@ -58,9 +58,15 @@ RAIRO 1978), so the schedule, not the order, is where the work is saved.
 
 Range guard.  After each step u must lie in [-OVERSHOOT_TOL,
 1 + OVERSHOOT_TOL]; anything else, NaN and inf included, raises
-NumericsError.  Rounding-level overshoot is clipped back to [0, 1].  Only
-the part of a node's overshoot beyond CLAMP_ALLOWANCE is added to
-Stepper.clamp_total, so rounding noise on u = 1 reads 0 there.
+NumericsError.  A step from a valid state (u in [0, 1], dt <= DT_MAX) needs
+no clip: the sink leaves at least half of each node's value (dt u <= 1/2)
+and dpttrs's recurrences only add nonnegative terms (the factor's
+off-diagonal is negative), so no output is negative; e^{xi} is a discrete
+supersolution, (I - dt D) e^{xi} = (1 - dt) e^{xi} with the sink increasing
+on [0, e^{xi}], so u exceeds 1 only by rounding (past xi ~ 700, where
+dt e^{-xi} is flushed to 0, this needs u <= 1 - dt, as on a front's tail).
+Only beyond CLAMP_ALLOWANCE is u clipped back to [0, 1], the whole array,
+and each node's overshoot beyond it added to Stepper.clamp_total.
 
 Initial datum.  The front-like datum u0 ~ A xi^k e^{-xi} is defined once,
 by init_front_data_weighted, as the exp of ln(e^{xi} u0) built in weighted
@@ -95,9 +101,8 @@ DT_MAX = 0.5
 DT_GROWTH = 1e-3
 # Out-of-range guard before clamping.
 OVERSHOOT_TOL = 1e-9
-# Per-node clipped overshoot in u that counts as rounding: u = 1 is held as
-# ub = e^{xi} on a grid whose xi carries about |xi| ulp of rounding, well
-# below 1e-12 for |xi| <= 745.
+# Rounding allowance in u: the range guard clips and counts only beyond it; the
+# |xi| ulp of rounding in xi keeps u = 1 (ub = e^{xi}) well inside for |xi| <= 745.
 CLAMP_ALLOWANCE = 1e-12
 # Width coefficient of the diffusive zone the domain must contain.
 FAR_ZONE_COEFF = 3.0
@@ -261,8 +266,7 @@ class Stepper:
 
     def step_weighted(self, ub: np.ndarray) -> np.ndarray:
         out = np.empty(self.n)
-        out[0] = ub[0]
-        out[-1] = ub[-1]
+        out[0], out[-1] = ub[0], ub[-1]
         rhs = out[1:-1]  # built and solved in place
         inner = ub[1:-1]
         with np.errstate(under="ignore"):
@@ -273,23 +277,19 @@ class Stepper:
             rhs[-1] += self._off * ub[-1]
             self._dpttrs(self._diag, self._sub, rhs, overwrite_b=True)
             u_view = np.multiply(out, self._weight_down, out=self._u)
-        lo = float(u_view.min())
-        hi = float(u_view.max())
+        lo, hi = float(u_view.min()), float(u_view.max())
         # negated in-range test: a NaN anywhere fails it
         if not (lo >= -OVERSHOOT_TOL and hi <= 1.0 + OVERSHOOT_TOL):
             raise NumericsError(
                 f"instability: values reached [{lo:.3e}, {hi:.3e}] outside [0, 1]"
             )
-        if lo < 0.0 or hi > 1.0:
-            # only the nodes a whole-array clip would change: below 0 (-0.0
-            # included, which clip turns into +0.0) or above the ceiling
-            idx = np.flatnonzero(np.signbit(out) | (out > self._ceiling))
-            over = out[idx]
-            clamped = np.clip(over, 0.0, self._ceiling[idx])
+        if lo < -CLAMP_ALLOWANCE or hi > 1.0 + CLAMP_ALLOWANCE:
+            # real overshoot: a step from a valid state never gets here
+            clipped = np.clip(out, 0.0, self._ceiling)
             with np.errstate(under="ignore"):
-                excess = np.abs((over - clamped) * self._weight_down[idx]) - CLAMP_ALLOWANCE
+                excess = np.abs((out - clipped) * self._weight_down) - CLAMP_ALLOWANCE
             self.clamp_total += float(excess[excess > 0.0].sum())
-            out[idx] = clamped
+            return clipped
         return out
 
     def step_values(self, u: np.ndarray) -> np.ndarray:
@@ -321,7 +321,7 @@ def extract_level(state: GridFunction, t: float, m: float) -> float:
         raise LevelNotAttainedError(f"level {m} not attained inside the domain")
     i = int(above[-1])
     xi_i = state.xi0 + state.dxi * i
-    if u[i + 1] > 0.0 and u[i] > u[i + 1]:
+    if u[i + 1] > 0.0:
         lo, hi = math.log(u[i]), math.log(u[i + 1])
         frac = (math.log(m) - lo) / (hi - lo)
     else:
@@ -385,10 +385,9 @@ def simulate(config: SimConfig) -> SimResult:
                     u[-guard], guard, t,
                 )
         if t in snap_set:
-            snapshots[t] = GridFunction(config.xi_min, config.dxi, u.copy())
-    t_arr = np.asarray(trace_times)
+            snapshots[t] = g
     traces = {
-        m: FrontTrace(times=t_arr.copy(), positions=np.asarray(positions[m]))
+        m: FrontTrace(times=np.array(trace_times), positions=np.asarray(positions[m]))
         for m in config.levels
     }
     if stepper.clamp_total > 0.0:

@@ -79,7 +79,7 @@ class TestBatchedQuadrature:
 
     POINTS = [(0.5, 0.3, 1e-12), (3.0, 1.0, 1e-13), (40.0, 12.0, 1e-10),
               (1e4, 150.0, 1e-13), (1e8, 2e4, 1e-12), (7.0, 0.0, 1e-12)]
-    # x >> sqrt t: the sinh form's outer factor underflows there (DomainError)
+    # x >> sqrt t: the sinh form's kernel overflows there (DomainError)
     FAR_POINTS = [(3.0, 2e4, 1e-12), (1.0, 3e3, 1e-13)]
 
     @pytest.mark.parametrize("route", [v_dirichlet, v_dirichlet_dx, v_dirichlet_sinh_form],
@@ -183,6 +183,20 @@ class TestVDirichlet:
             # far from the boundary and the kink, v = 1/x^2 + 6t/x^4 + 60t^2/x^6 + ...
             # (the heat semigroup on the 1/y^2 data): 2.5000001125e-9 here
             assert v_dirichlet(3.0, 2e4).value == pytest.approx(2.5000001125e-9, rel=1e-9)
+
+    def test_sinh_form_rejects_exactly_where_its_kernel_overflows(self):
+        # sinh(xy/2t) takes y up to x + radius: at t = 3 its argument stays
+        # below arcsinh(DBL_MAX) = 710.476 up to x / sqrt t = 29.5 (710.2)
+        # and leaves it at 30 (729.7)
+        t = 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for ratio in (26.0, 29.0, 29.5):
+                x = ratio * math.sqrt(t)
+                assert v_dirichlet_sinh_form(t, x).value == pytest.approx(v_dirichlet(t, x).value, rel=1e-10)
+            for ratio in (30.0, 40.0, 54.0, 55.0):
+                with pytest.raises(DomainError, match="t = 3, x = "):
+                    v_dirichlet_sinh_form(t, ratio * math.sqrt(t))
 
     @pytest.mark.parametrize("ratio", [1e3, 1e4, 3e4])
     @pytest.mark.parametrize("t", [0.5, 3.0, 100.0, 1e4])

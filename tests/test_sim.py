@@ -310,7 +310,7 @@ class TestStep:
         np.testing.assert_allclose(stepper.clamp_total, expected, rtol=0.02)
 
     def test_clamp_matches_the_whole_array_clip(self):
-        # the clamp visits only the nodes outside [0, ceiling]; forced solver
+        # real overshoot clips the whole array to [0, ceiling]; forced solver
         # output below 0 (-0.0 included), above the ceiling by more and by
         # less than CLAMP_ALLOWANCE, and above it at xi = 709 (weight 0,
         # ceiling finite) must give the whole-array clip and excess sum
@@ -338,6 +338,46 @@ class TestStep:
             excess = np.abs((forced - clipped) * stepper._weight_down) - CLAMP_ALLOWANCE
         assert out.tobytes() == clipped.tobytes()
         assert stepper.clamp_total == float(excess[excess > 0.0].sum()) > 0.0
+
+    def test_valid_states_never_enter_the_clamp(self, monkeypatch):
+        # from u in [0, 1] at dt <= DT_MAX a step stays in range to rounding
+        # (the range guard in the sim docstring), so nothing is clipped: front
+        # data on a grid past xi = 709 (weight 0, then ceiling inf), and u = 1
+        # held as ub = e^{xi} out to xi = 690
+        clip = np.clip
+        calls = 0
+
+        def counting_clip(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return clip(*args, **kwargs)
+
+        monkeypatch.setattr(np, "clip", counting_clip)
+        runs = []
+        for k in (-2.0, 1.0):
+            cfg = SimConfig(k=k, xi_min=-60.0, dxi=0.1, dt=0.1, t_end=1e5)
+            assert cfg.xi_max > 709.0
+            stepper = Stepper(cfg.n_nodes, cfg.dxi, DT_MAX, cfg.xi_min)
+            runs.append((stepper, init_front_data_weighted(cfg)))
+        one = Stepper(7501, 0.1, DT_MAX, xi0=-60.0)
+        runs.append((one, one.to_weighted(np.ones(7501))))
+        for stepper, ub in runs:
+            for _ in range(1000):
+                ub = stepper.step_weighted(ub)
+            assert stepper.clamp_total == 0.0
+        assert calls == 0
+        # ub is the last run's, u = 1
+        np.testing.assert_allclose(one.to_linear(ub), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_unclipped_rounding_on_one_does_not_build_up(self):
+        # the guard leaves rounding of u = 1 in place; 20,000 small steps
+        # must not build it up
+        stepper = Stepper(601, 0.1, 1e-4, xi0=-60.0)
+        ub = stepper.to_weighted(np.ones(601))
+        for _ in range(20000):
+            ub = stepper.step_weighted(ub)
+        assert stepper.clamp_total == 0.0
+        np.testing.assert_allclose(stepper.to_linear(ub), 1.0, rtol=0.0, atol=1e-12)
 
     def test_step_leaves_input_untouched(self):
         stepper = Stepper(200, 0.05, 0.01)
