@@ -14,25 +14,48 @@ t = 1e5 that reaches xi ~ 800, where u ~ e^{-800} underflows doubles and any
 scheme storing u would silently zero the physics behind the critical-case
 double-log term.  The weighted field stays polynomial-sized there.
 
-Stencil.  ub_xixi is discretized by the symmetric stencil
-(1, -2, 1) / (rho dxi^2) with rho = 2(cosh dxi - 1)/dxi^2.  It is exact on
-constants in ub (the marginal mode u = e^{-xi}) and on ub = e^{xi} (the
-invaded state u = 1), so both are discrete equilibria for any dt, as is
-u = 0.  Plain centered differences in u bias the front speed by dxi^2/4,
-which is fatal to the log-law fits (see the refinement evidence in the tests).
+Grid.  Uniform dxi on [xi_min, XI_GRADE] (up to the node nearest
+min(xi_max, XI_GRADE)), where the front and every level set live.  Past it,
+where u < 1e-20 and the equation is the heat equation ub_t = ub_xixi, whose
+solution varies on the scale sqrt(t), each cell is 1 + GRADE times the last,
+out to the first node at or past xi_max: 2,510 nodes instead of 6,644 on the
+t = 5000 grid, 1,327 instead of 10,688 on the critical grid.  Smoothly
+stretched three-point grids stay second order (Kalnay de Rivas, J. Comput.
+Phys. 10, 1972).  Snapshots, level extraction and the wave distance read the
+uniform part only: a level whose crossing lies past it is not attained.
+
+Stencil.  ub_xixi is discretized in flux form,
+
+    m_i (D ub)_i = k+ (ub+ - ub_i) - k- (ub_i - ub-),
+
+with row weight m_i = (h- + h+) / (2 dxi) over the cells h- and h+ beside
+node i.  A uniform cell conducts k = 1 / (rho dxi^2), rho = 2(cosh dxi - 1)
+/ dxi^2: on the uniform part m = 1 and D is the symmetric (1, -2, 1) /
+(rho dxi^2), exact on constants in ub (the marginal mode u = e^{-xi}) and on
+ub = e^{xi} (the invaded state u = 1).  A graded cell of length h conducts
+the plain k = 1 / (h dxi): weights fitted to e^{xi} would divide smooth
+diffusion by (2 sinh(h/2) / h)^2, about 100 at h = 9.  So the stencil is
+exact on the marginal mode at every node, and u = 0 is a discrete
+equilibrium for any dt.  u = 1 is an equilibrium only on the uniform part,
+and only where dt e^{-xi} is a normal double (xi below about 708.4 + ln dt;
+set_dt flushes it to 0 beyond).  Plain centered
+differences in u bias the front speed by dxi^2/4, which is fatal to the
+log-law fits (see the refinement evidence in the tests).
 
 Step.  One IMEX step solves
 
-    (I - dt D) ub+ = ub - dt e^{-xi} ub^2
+    (M + dt K) ub+ = M (ub - dt e^{-xi} ub^2)
 
-with the two end nodes held as Dirichlet data.  Their values are moved to
-the right-hand side (off ub_0 and off ub_{n-1} join the first and last
-interior rows, off = dt / (rho dxi^2)), which leaves the (n-2) x (n-2)
-interior matrix tridiag(-off, 1 + 2 off, -off).  It is symmetric and strictly
-diagonally dominant with positive diagonal, hence positive definite and an
-M-matrix: it is factored as L D L^T (LAPACK dpttrf) once per step size and
-each step is one dpttrs solve, and its inverse is entrywise nonnegative, so
-the implicit part preserves order for every dt.
+with M = diag(m), K the conductance matrix (M D = -K), and the two end nodes
+held as Dirichlet data.  Their values are moved to the right-hand side
+(dt k ub_0 and dt k ub_{n-1} join the first and last interior rows), which
+leaves a symmetric tridiagonal interior matrix with diagonal
+m_i + dt (k- + k+) and off-diagonal -dt k; on the uniform part it is
+tridiag(-off, 1 + 2 off, -off), off = dt / (rho dxi^2).  It is strictly
+diagonally dominant (row sums m_i) with positive diagonal, hence positive
+definite and an M-matrix: it is factored as L D L^T (LAPACK dpttrf) once per
+step size and each step is one dpttrs solve, and its inverse is entrywise
+nonnegative, so the implicit part preserves order for every dt.
 
 Reaction bound.  The explicit sink acts node by node as
 ub -> ub - dt e^{-xi} ub^2, with derivative 1 - 2 dt e^{-xi} ub = 1 - 2 dt u.
@@ -58,20 +81,30 @@ RAIRO 1978), so the schedule, not the order, is where the work is saved.
 
 Range guard.  After each step u must lie in [-OVERSHOOT_TOL,
 1 + OVERSHOOT_TOL]; anything else, NaN and inf included, raises
-NumericsError.  A step from a valid state (u in [0, 1], dt <= DT_MAX) needs
-no clip: the sink leaves at least half of each node's value (dt u <= 1/2)
-and dpttrs's recurrences only add nonnegative terms (the factor's
-off-diagonal is negative), so no output is negative; e^{xi} is a discrete
-supersolution, (I - dt D) e^{xi} = (1 - dt) e^{xi} with the sink increasing
-on [0, e^{xi}], so u exceeds 1 only by rounding (past xi ~ 700, where
-dt e^{-xi} is flushed to 0, this needs u <= 1 - dt, as on a front's tail).
-Only beyond CLAMP_ALLOWANCE is u clipped back to [0, 1], the whole array,
-and each node's overshoot beyond it added to Stepper.clamp_total.
+NumericsError.  A step from a valid state (u in [0, 1], ub <= e^{xi_J} past
+the last uniform node xi_J, dt <= DT_MAX) needs no clip.  The sink leaves at
+least half of each node's value (dt u <= 1/2) and dpttrs's recurrences only
+add nonnegative terms (the factor's off-diagonal is negative), so no output
+is negative.  The upper barrier is B = min(e^{xi}, e^{xi_J}): left of xi_J
+it is e^{xi}, on which the uniform stencil is exact, (I - dt D) e^{xi} =
+(1 - dt) e^{xi}; from xi_J on it is a constant, on which every stencil is
+exact; the min only lowers the neighbours, and the sink is increasing on
+[0, B].  So B is a discrete supersolution, and ub <= B stays true to
+rounding: u exceeds 1 only by rounding.  e^{xi} itself is no barrier on the
+graded cells: for h+ >= h- the second difference of e^{xi} is at least
+e^{xi} (at least 1.0027 e^{xi} on the critical grid), so u = 1 there grows
+and trips the guard.  A front's tail, ub ~ A xi^k, lies far below e^{xi_J}.
+Past xi ~ 708.4 + ln dt, where dt e^{-xi} is flushed to 0, e^{xi} is a
+barrier only for u <= 1 - dt, as on a front's tail; on the default grids
+those nodes are all graded.  Only beyond CLAMP_ALLOWANCE is u clipped back
+to [0, 1], the whole array, and each node's overshoot beyond it added to
+Stepper.clamp_total.
 
 Initial datum.  The front-like datum u0 ~ A xi^k e^{-xi} is defined once,
-by init_front_data_weighted, as the exp of ln(e^{xi} u0) built in weighted
-log space.  The plain-u datum (the t = 0 snapshot) is Stepper.to_linear of
-that.
+as L = ln(e^{xi} u0) built in weighted log space (_log_front_data).  The
+stepper starts from exp(L) at every node (init_front_data_weighted), and the
+t = 0 snapshot is exp(L - xi) on the uniform part (init_front_data), which
+reads exactly 1 on xi <= 0.
 
 simulate returns plain u (snapshots, and the traces extract_level reads off
 them); Stepper.step_values takes one step of a plain-u state.
@@ -106,6 +139,10 @@ OVERSHOOT_TOL = 1e-9
 CLAMP_ALLOWANCE = 1e-12
 # Width coefficient of the diffusive zone the domain must contain.
 FAR_ZONE_COEFF = 3.0
+# Far-field grid: uniform dxi up to XI_GRADE, then each cell 1 + GRADE times
+# the last out to xi_max, where u < 1e-20 and the equation is the heat equation.
+XI_GRADE = 60.0
+GRADE = 0.05
 TRACE_TIME_FACTOR = 1.2
 
 
@@ -166,8 +203,27 @@ class SimConfig:
         object.__setattr__(self, "snapshot_times", snaps)
 
     @property
+    def n_uniform(self) -> int:
+        """Nodes xi_min + dxi i of the uniform part, up to the node nearest
+        min(xi_max, XI_GRADE)."""
+        return int(round((min(self.xi_max, XI_GRADE) - self.xi_min) / self.dxi)) + 1
+
+    def nodes(self) -> np.ndarray:
+        """The stepped nodes: the uniform part, then, if xi_max lies past
+        XI_GRADE, cells of (1 + GRADE)^j dxi, j = 1, 2, ..., up to the first
+        node at or past xi_max."""
+        xi = self.xi_min + self.dxi * np.arange(self.n_uniform)
+        far = []
+        x, h = xi[-1], self.dxi
+        while self.xi_max > XI_GRADE and x < self.xi_max:
+            h *= 1.0 + GRADE
+            x += h
+            far.append(x)
+        return np.concatenate((xi, far))
+
+    @property
     def n_nodes(self) -> int:
-        return int(round((self.xi_max - self.xi_min) / self.dxi)) + 1
+        return self.nodes().size
 
 
 @dataclass
@@ -211,7 +267,8 @@ class Stepper:
     instance serves one thread at a time.
     """
 
-    def __init__(self, n: int, dxi: float, dt: float, xi0: float = 0.0):
+    def __init__(self, n: int, dxi: float, dt: float, xi0: float = 0.0, far=()):
+        """n uniform nodes xi0 + dxi i, then the increasing nodes `far`."""
         if n < 3:
             raise DomainError(f"need at least 3 nodes, got {n}")
         # here, not at module level: scipy.linalg is most of the package's
@@ -220,35 +277,42 @@ class Stepper:
 
         self._dpttrf = dpttrf
         self._dpttrs = dpttrs
-        self.n = n
-        xi = xi0 + dxi * np.arange(n)
+        self.xi = np.concatenate((xi0 + dxi * np.arange(n), far))
+        self.n = self.xi.size
+        h = np.diff(self.xi[n - 1:])  # graded cell lengths
+        if not np.all(h > 0.0):
+            raise DomainError("far nodes must increase past the uniform part")
         with np.errstate(under="ignore"):
-            self._weight_down = np.exp(-xi)  # u = weight_down * ub
+            self._weight_down = np.exp(-self.xi)  # u = weight_down * ub
         # 0 beyond xi ~ 708.4 rather than subnormal: every multiply through a
         # subnormal operand runs several times slower
         self._weight_down[self._weight_down < np.finfo(float).tiny] = 0.0
         with np.errstate(over="ignore"):
-            self._ceiling = np.exp(xi)  # ub image of u = 1; inf far right is fine for clip
-        self._inv_h2 = 1.0 / (_stencil_rho(dxi) * dxi * dxi)
-        self._sink = np.empty(n - 2)  # interior dt e^{-xi}
-        self._diag = np.empty(n - 2)  # L D L^T factor of the interior matrix
-        self._sub = np.empty(n - 3)
-        self._u = np.empty(n)  # plain-u image for the range guard
+            self._ceiling = np.exp(self.xi)  # ub image of u = 1; inf far right is fine for clip
+        # flux form: conductance of each cell, rho-fitted on the uniform part
+        self._k = np.concatenate((np.full(n - 1, 1.0 / (_stencil_rho(dxi) * dxi * dxi)),
+                                  1.0 / (h * dxi)))
+        # row weights (h- + h+) / (2 dxi) of the interior rows: exactly 1 up to
+        # row _graded, the last uniform node's
+        cells = np.concatenate(([dxi], h))
+        self._m = np.concatenate((np.ones(n - 2), (cells[:-1] + cells[1:]) / (2.0 * dxi)))
+        self._graded = n - 2
+        self._sink = np.empty(self.n - 2)  # interior dt e^{-xi}
+        self._u = np.empty(self.n)  # plain-u image for the range guard
         self.clamp_total = 0.0
         self.set_dt(dt)
 
     def set_dt(self, dt: float) -> None:
-        """Refactor the interior matrix for step size dt, in place."""
+        """Refactor the interior matrix for step size dt."""
         if not 0.0 < dt <= DT_MAX:
             raise DomainError(f"dt must lie in (0, {DT_MAX}]")
         self.dt = dt
-        self._off = dt * self._inv_h2
+        off = dt * self._k
+        self._off_first, self._off_last = off[0], off[-1]
         with np.errstate(under="ignore"):
             np.multiply(self._weight_down[1:-1], dt, out=self._sink)
         self._sink[self._sink < np.finfo(float).tiny] = 0.0  # not subnormal, as _weight_down
-        self._diag.fill(1.0 + 2.0 * self._off)
-        self._sub.fill(-self._off)
-        self._diag, self._sub, info = self._dpttrf(self._diag, self._sub,
+        self._diag, self._sub, info = self._dpttrf(self._m + (off[:-1] + off[1:]), -off[1:-1],
                                                    overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise NumericsError(f"interior matrix not positive definite (dpttrf info={info})")
@@ -273,8 +337,9 @@ class Stepper:
             np.multiply(self._sink, inner, out=rhs)
             rhs *= inner
             np.subtract(inner, rhs, out=rhs)
-            rhs[0] += self._off * ub[0]
-            rhs[-1] += self._off * ub[-1]
+            rhs[self._graded:] *= self._m[self._graded:]
+            rhs[0] += self._off_first * ub[0]
+            rhs[-1] += self._off_last * ub[-1]
             self._dpttrs(self._diag, self._sub, rhs, overwrite_b=True)
             u_view = np.multiply(out, self._weight_down, out=self._u)
         lo, hi = float(u_view.min()), float(u_view.max())
@@ -298,17 +363,30 @@ class Stepper:
         return self.to_linear(self.step_weighted(self.to_weighted(u)))
 
 
-def init_front_data_weighted(config: SimConfig) -> np.ndarray:
-    """Weighted image e^{xi} u0 of the front-like datum u0: 1 on xi <= 0, the
-    A xi^k e^{-xi} tail (capped at 1) from xi = 1 on, and a log-linear bridge
-    on (0, 1).  Built as the exp of ln(e^{xi} u0): weighted log space keeps
-    the tail polynomial-sized where u0 underflows doubles, and avoids the
-    cancellation of xi against ln u0 ~ -xi."""
-    xi = config.xi_min + config.dxi * np.arange(config.n_nodes)
+def _log_front_data(config: SimConfig, xi: np.ndarray) -> np.ndarray:
+    """L = ln(e^{xi} u0) at the nodes xi, for the front-like datum u0: 1 on
+    xi <= 0, the A xi^k e^{-xi} tail (capped at 1) from xi = 1 on, and a
+    log-linear bridge on (0, 1).  Weighted log space keeps the tail
+    polynomial-sized where u0 underflows doubles, and avoids the cancellation
+    of xi against ln u0 ~ -xi."""
     ln_a = math.log(config.amplitude)
     bridge = (1.0 + min(0.0, ln_a - 1.0)) * xi
     tail = np.minimum(xi, ln_a + config.k * np.log(np.maximum(xi, 1.0)))
-    return np.exp(np.where(xi <= 0.0, xi, np.where(xi < 1.0, bridge, tail)))
+    return np.where(xi <= 0.0, xi, np.where(xi < 1.0, bridge, tail))
+
+
+def init_front_data_weighted(config: SimConfig) -> np.ndarray:
+    """Weighted image e^{xi} u0 = exp(L) of the datum at every stepped node."""
+    return np.exp(_log_front_data(config, config.nodes()))
+
+
+def init_front_data(config: SimConfig) -> GridFunction:
+    """The plain datum u0 = exp(L - xi) on the uniform part, the t = 0
+    snapshot: exactly 1 on xi <= 0, where L = xi."""
+    xi = config.nodes()[:config.n_uniform]
+    with np.errstate(under="ignore"):
+        u = np.exp(_log_front_data(config, xi) - xi)
+    return GridFunction(config.xi_min, config.dxi, u)
 
 
 def extract_level(state: GridFunction, t: float, m: float) -> float:
@@ -352,36 +430,45 @@ def _step_count(span: float, h: float) -> int:
 def simulate(config: SimConfig) -> SimResult:
     """March the Cauchy problem to t_end on the growing step schedule (module
     docstring), sampling level traces at geometrically spaced times and
-    snapshots at requested times.  Deterministic given config."""
-    stepper = Stepper(config.n_nodes, config.dxi, config.dt, config.xi_min)
+    snapshots at requested times.  Deterministic given config.
+
+    Snapshots and level traces cover the uniform part, the config.n_uniform
+    nodes xi_min + dxi i up to the node nearest min(xi_max, XI_GRADE); a
+    level whose crossing lies past it raises LevelNotAttainedError.
+    boundary_alarm reads u at the 20th stepped node from the right end, a
+    graded node when xi_max lies past XI_GRADE."""
+    n = config.n_uniform
+    stepper = Stepper(n, config.dxi, config.dt, config.xi_min, far=config.nodes()[n:])
     ub = init_front_data_weighted(config)
     trace_times, stops = _output_times(config)
     trace_set, snap_set = set(trace_times), set(config.snapshot_times)
     positions: dict[float, list[float]] = {m: [] for m in config.levels}
     snapshots: dict[float, GridFunction] = {}
     boundary_alarm = False
-    guard = min(20, config.n_nodes - 1)
+    guard = min(20, stepper.n - 1)
     t = 0.0
     n_steps, dt_min, dt_max = 0, math.inf, 0.0
     for t_out in stops:
-        if t_out > t:
-            h = min(DT_MAX, max(config.dt, DT_GROWTH * t))
-            n = _step_count(t_out - t, h)
-            stepper.set_dt((t_out - t) / n)
-            for _ in range(n):
-                ub = stepper.step_weighted(ub)
-            n_steps += n
-            dt_min, dt_max = min(dt_min, stepper.dt), max(dt_max, stepper.dt)
-            t = t_out
+        if t_out == 0.0:  # only a snapshot time can be 0
+            snapshots[0.0] = init_front_data(config)
+            continue
+        h = min(DT_MAX, max(config.dt, DT_GROWTH * t))
+        steps = _step_count(t_out - t, h)
+        stepper.set_dt((t_out - t) / steps)
+        for _ in range(steps):
+            ub = stepper.step_weighted(ub)
+        n_steps += steps
+        dt_min, dt_max = min(dt_min, stepper.dt), max(dt_max, stepper.dt)
+        t = t_out
         u = stepper.to_linear(ub)
-        g = GridFunction(config.xi_min, config.dxi, u)
+        g = GridFunction(config.xi_min, config.dxi, u[:n])
         if t in trace_set:
             for m in config.levels:
                 positions[m].append(extract_level(g, t, m))
             if u[-guard] > 1e-12:
                 boundary_alarm = True
                 log.warning(
-                    "tail mass %.3e within %d cells of the outflow boundary at t=%g",
+                    "tail mass %.3e within %d nodes of the outflow boundary at t=%g",
                     u[-guard], guard, t,
                 )
         if t in snap_set:

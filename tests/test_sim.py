@@ -15,35 +15,48 @@ from kppfront import (
     LevelNotAttainedError,
     SimConfig,
     extract_level,
+    fit_critical,
+    fit_log_correction,
     minimal_wave,
     simulate,
 )
+from kppfront import sim
 from kppfront.errors import NumericsError
 from kppfront.sim import (
     CLAMP_ALLOWANCE,
     DT_MAX,
+    GRADE,
+    XI_GRADE,
     Stepper,
     _stencil_rho,
     _step_count,
     config_from_mapping,
+    init_front_data,
     init_front_data_weighted,
 )
 
 
 def _dirichlet_splu(n, dt, c_minus, c_0, c_plus):
     """Full n x n splu factor of I - dt L for the 3-point operator
-    L = (c_minus, c_0, c_plus), with identity rows holding the two ends."""
-    main = np.full(n, 1.0 - dt * c_0)
-    lower = np.full(n - 1, -dt * c_minus)
-    upper = np.full(n - 1, -dt * c_plus)
+    L = (c_minus, c_0, c_plus), row i reading u_{i-1}, u_i, u_{i+1} (scalars
+    or length-n arrays), with identity rows holding the two ends."""
+    c_minus, c_0, c_plus = (np.broadcast_to(c, n) for c in (c_minus, c_0, c_plus))
+    main = 1.0 - dt * c_0
+    lower = -dt * c_minus[1:]
+    upper = -dt * c_plus[:-1]
     main[0] = main[-1] = 1.0
     upper[0] = lower[-1] = 0.0
     return spla.splu(sp.diags([lower, main, upper], (-1, 0, 1), format="csc"))
 
 
-def _assert_constant_invariant(n, dxi, dt):
-    stepper = Stepper(n, dxi, dt, xi0=750.0)
-    const = np.full(n, 0.7)
+def _graded(x0, dxi, count):
+    """count nodes past x0 on cells (1 + GRADE)^j dxi, j = 1, 2, ..."""
+    return x0 + dxi * np.cumsum((1.0 + GRADE) ** np.arange(1, count + 1))
+
+
+def _assert_constant_invariant(n, dxi, dt, far=()):
+    stepper = Stepper(n, dxi, dt, 750.0, far)
+    const = np.full(stepper.n, 0.7)
     np.testing.assert_allclose(stepper.step_weighted(const), const, rtol=1e-13)
 
 
@@ -53,15 +66,13 @@ def small_config(**kw):
     return SimConfig(**defaults)
 
 
+# the critical fixture's grid: 1,201 uniform nodes to XI_GRADE, 126 graded
+CRITICAL = SimConfig(k=-2.0, t_end=1e5, dxi=0.1, dt=0.1)
+
+
 def config_stepper(cfg):
-    return Stepper(cfg.n_nodes, cfg.dxi, cfg.dt, cfg.xi_min)
-
-
-def plain_datum(cfg):
-    """The datum in plain u by the route simulate takes for its t = 0
-    snapshot: to_linear of the weighted datum."""
-    u = config_stepper(cfg).to_linear(init_front_data_weighted(cfg))
-    return GridFunction(cfg.xi_min, cfg.dxi, u)
+    """The stepper simulate builds for cfg."""
+    return Stepper(cfg.n_uniform, cfg.dxi, cfg.dt, cfg.xi_min, far=cfg.nodes()[cfg.n_uniform:])
 
 
 class TestConfig:
@@ -105,62 +116,74 @@ def _front_data_weighted_closed_form(xi, k, A):
     return out
 
 
-# the k-run grid (n = 6,644) and the critical grid (n = 10,688)
+# the k-run grid and the critical grid, named by the node count a uniform
+# grid over their domain would have (6,644 and 10,688); graded, they step
+# 2,510 and 1,327 nodes
 PRODUCTION_GRIDS = [
     (dict(k=k, t_end=5000.0), 6644) for k in (3.0, 1.0, 0.0, -1.0)
 ] + [(dict(k=-2.0, t_end=1e5, dxi=0.1, dt=0.1), 10688)]
+GRADED_NODES = {6644: 2510, 10688: 1327}
+
+
+def production_config(kw, n, **more):
+    cfg = SimConfig(**kw, **more)
+    assert int(round((cfg.xi_max - cfg.xi_min) / cfg.dxi)) + 1 == n
+    assert cfg.n_nodes == GRADED_NODES[n]
+    return cfg
 
 
 class TestInitFrontData:
     @pytest.mark.parametrize("A", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("kw,n", PRODUCTION_GRIDS)
     def test_weighted_matches_closed_form(self, kw, n, A):
-        cfg = SimConfig(amplitude=A, **kw)
-        assert cfg.n_nodes == n
-        xi = cfg.xi_min + cfg.dxi * np.arange(n)
-        expected = _front_data_weighted_closed_form(xi, cfg.k, A)
+        # at the nodes the stepper steps, graded ones included
+        cfg = production_config(kw, n, amplitude=A)
+        expected = _front_data_weighted_closed_form(config_stepper(cfg).xi, cfg.k, A)
         np.testing.assert_allclose(init_front_data_weighted(cfg), expected, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("A", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("kw,n", PRODUCTION_GRIDS)
     def test_plain_is_weighted_times_decay(self, kw, n, A):
-        cfg = SimConfig(amplitude=A, **kw)
-        u0 = plain_datum(cfg)
+        cfg = production_config(kw, n, amplitude=A)
+        u0 = init_front_data(cfg)
+        assert u0.values.size == cfg.n_uniform and u0.grid()[-1] == XI_GRADE
         u, xi = u0.values, u0.grid()
         with np.errstate(under="ignore"):
             expected = np.exp(-xi) * _front_data_weighted_closed_form(xi, cfg.k, A)
         normal = expected >= np.finfo(float).tiny
-        # u = exp(L) e^{-xi} with L = ln(e^{xi} u0), |L| <= |xi|: rounding L
-        # costs about |L| ulp relative to u (at most 22 ulp on these grids)
+        # u = exp(L - xi) with L = ln(e^{xi} u0), |L| <= |xi|: rounding L
+        # and L - xi costs about |xi| ulp relative to u
         bound = (4.0 + np.abs(xi[normal])) * np.finfo(float).eps * expected[normal]
         assert np.all(np.abs(u[normal] - expected[normal]) <= bound)
         assert np.all(u[~normal] < np.finfo(float).tiny)
 
     def test_pure_exponential_tail_point(self):
         cfg = small_config(k=0.0, amplitude=1.0)
-        u0 = plain_datum(cfg)
+        u0 = init_front_data(cfg)
         i = int(round((5.0 - cfg.xi_min) / cfg.dxi))
         np.testing.assert_allclose(u0.values[i], math.exp(-5.0), rtol=1e-12)
 
     def test_critical_tail_point(self):
         cfg = small_config(k=-2.0, amplitude=1.0)
-        u0 = plain_datum(cfg)
+        u0 = init_front_data(cfg)
         i = int(round((10.0 - cfg.xi_min) / cfg.dxi))
         np.testing.assert_allclose(u0.values[i], math.exp(-10.0) / 100.0, rtol=1e-12)
 
     def test_left_state_is_one(self):
-        # on xi <= 0 the weighted datum is bit for bit the stepper's image of
-        # u = 1, its clamp ceiling; in plain u that reads 1 only to rounding
-        # (e^{xi} e^{-xi}), which test_plain_is_weighted_times_decay bounds
-        cfg = small_config(k=3.0)
+        # on xi <= 0 the t = 0 snapshot reads exactly 1, and the weighted
+        # datum is bit for bit the stepper's image of u = 1, its clamp ceiling
+        cfg = small_config(k=3.0, t_end=1.0, snapshot_times=(0.0,))
+        snap = simulate(cfg).snapshots[0.0]
+        left = snap.grid() <= 0.0
+        assert left.sum() == 801 and np.all(snap.values[left] == 1.0)
+        assert snap.values.tobytes() == init_front_data(cfg).values.tobytes()
         one = config_stepper(cfg).to_weighted(np.ones(cfg.n_nodes))
-        i0 = int(round((0.0 - cfg.xi_min) / cfg.dxi))
-        np.testing.assert_array_equal(init_front_data_weighted(cfg)[: i0 + 1], one[: i0 + 1])
+        np.testing.assert_array_equal(init_front_data_weighted(cfg)[left], one[left])
 
     @pytest.mark.parametrize("k,A", [(0.0, 1.0), (-2.0, 1.0), (3.0, 1.0), (1.0, 2.5)])
     def test_two_sided_tail_bound(self, k, A):
         cfg = small_config(k=k, amplitude=A)
-        u0 = plain_datum(cfg)
+        u0 = init_front_data(cfg)
         xi = u0.grid()
         m = xi > 1.0
         envelope = A * xi[m] ** k * np.exp(-xi[m])
@@ -172,7 +195,7 @@ class TestInitFrontData:
 
     def test_continuous_positive(self):
         cfg = small_config(k=-2.0)
-        u0 = plain_datum(cfg)
+        u0 = init_front_data(cfg)
         xi = u0.grid()
         core = xi <= 30.0
         assert np.all(u0.values[core] > 0.0)
@@ -236,12 +259,15 @@ class TestStep:
         assert np.max(np.abs(out_u[interior] - u[interior])) <= 1.5 * dt * eps * eps
 
     def test_marginal_mode_exactly_stationary_critical_grid(self):
-        _assert_constant_invariant(10688, 0.1, 0.1)
+        # the critical grid's 1,201 uniform nodes and 126 graded cells,
+        # moved to xi >= 750
+        _assert_constant_invariant(1201, 0.1, 0.1, far=_graded(870.0, 0.1, 126))
 
     def test_no_subnormal_weight_on_critical_grid(self):
-        # the grid reaches xi ~ 1009; e^{-xi} leaves the normal range at
+        # the grid reaches xi ~ 1040; e^{-xi} leaves the normal range at
         # xi ~ 708.4 and must read 0 from there on, not subnormal
-        u = Stepper(10688, 0.1, 0.1, xi0=-60.0).to_linear(np.ones(10688))
+        stepper = config_stepper(CRITICAL)
+        u = stepper.to_linear(np.ones(stepper.n))
         assert not np.any((u != 0.0) & (np.abs(u) < np.finfo(float).tiny))
         assert u[-1] == 0.0
 
@@ -249,7 +275,7 @@ class TestStep:
         # dt e^{-xi} leaves the normal range before e^{-xi} does (from
         # xi ~ 706.1 at dt = 0.1): every step's sink pass multiplies through
         # it, so it must read 0 there too, at every step size set
-        stepper = Stepper(10688, 0.1, 0.1, xi0=-60.0)
+        stepper = config_stepper(CRITICAL)
         for dt in (0.1, DT_MAX):
             stepper.set_dt(dt)
             sink = stepper._sink
@@ -258,20 +284,29 @@ class TestStep:
 
     @pytest.mark.parametrize("n,dxi,dt,k", [(6644, 0.05, 0.01, 0.0), (10688, 0.1, 0.1, -2.0)])
     def test_matches_full_matrix_oracle(self, n, dxi, dt, k):
-        # the eliminated-boundary LDL^T solve against a full n x n solve that
-        # keeps the two Dirichlet rows, on both production grids
+        # the eliminated-boundary, row-weighted LDL^T solve against a full
+        # solve of the nonuniform three-point stencil
+        #   2/(h- + h+) [c+ (u+ - u)/h+ - c- (u - u-)/h-]
+        # that keeps the two Dirichlet rows, on both production grids, its
+        # cells read off the node positions: c = 1/rho(dxi) on cells up to
+        # XI_GRADE, 1 on the graded ones
         xi_min = -60.0
         cfg = SimConfig(k=k, xi_min=xi_min, xi_max=xi_min + dxi * (n - 1), dxi=dxi, dt=dt,
                         t_end=100.0)
-        assert cfg.n_nodes == n
+        assert cfg.n_nodes == GRADED_NODES[n]
         ub = init_front_data_weighted(cfg)
-        stepper = Stepper(n, dxi, dt, xi0=xi_min)
+        stepper = config_stepper(cfg)
         for _ in range(20):
             ub = stepper.step_weighted(ub)
-        c = 1.0 / (2.0 * (math.cosh(dxi) - 1.0))  # (1, -2, 1) / (rho dxi^2)
-        lu = _dirichlet_splu(n, dt, c, -2.0 * c, c)
+        x = cfg.nodes()
+        h = np.diff(x)
+        c = np.where(x[1:] <= XI_GRADE + 1e-9, dxi**2 / (2.0 * (math.cosh(dxi) - 1.0)), 1.0)
+        c_minus, c_plus = np.zeros(x.size), np.zeros(x.size)
+        c_minus[1:-1] = 2.0 * c[:-1] / ((h[:-1] + h[1:]) * h[:-1])
+        c_plus[1:-1] = 2.0 * c[1:] / ((h[:-1] + h[1:]) * h[1:])
+        lu = _dirichlet_splu(x.size, dt, c_minus, -(c_minus + c_plus), c_plus)
         with np.errstate(under="ignore"):
-            rhs = ub - dt * (np.exp(-(xi_min + dxi * np.arange(n))) * ub * ub)
+            rhs = ub - dt * (np.exp(-x) * ub * ub)
         rhs[0], rhs[-1] = ub[0], ub[-1]
         np.testing.assert_allclose(stepper.step_weighted(ub), lu.solve(rhs), rtol=1e-11, atol=0.0)
 
@@ -340,10 +375,11 @@ class TestStep:
         assert stepper.clamp_total == float(excess[excess > 0.0].sum()) > 0.0
 
     def test_valid_states_never_enter_the_clamp(self, monkeypatch):
-        # from u in [0, 1] at dt <= DT_MAX a step stays in range to rounding
+        # from a valid state at dt <= DT_MAX a step stays in range to rounding
         # (the range guard in the sim docstring), so nothing is clipped: front
-        # data on a grid past xi = 709 (weight 0, then ceiling inf), and u = 1
-        # held as ub = e^{xi} out to xi = 690
+        # data on the graded grid past xi = 709 (weight 0, then ceiling inf),
+        # its barrier min(e^{xi}, e^{XI_GRADE}) (u = 1 on the uniform part),
+        # and u = 1 held as ub = e^{xi} out to xi = 690 on a uniform grid
         clip = np.clip
         calls = 0
 
@@ -355,10 +391,13 @@ class TestStep:
         monkeypatch.setattr(np, "clip", counting_clip)
         runs = []
         for k in (-2.0, 1.0):
-            cfg = SimConfig(k=k, xi_min=-60.0, dxi=0.1, dt=0.1, t_end=1e5)
-            assert cfg.xi_max > 709.0
-            stepper = Stepper(cfg.n_nodes, cfg.dxi, DT_MAX, cfg.xi_min)
+            cfg = SimConfig(k=k, xi_min=-60.0, dxi=0.1, dt=DT_MAX, t_end=1e5)
+            assert cfg.xi_max > 709.0 and cfg.n_nodes == 1327
+            stepper = config_stepper(cfg)
             runs.append((stepper, init_front_data_weighted(cfg)))
+        barrier = config_stepper(cfg)
+        with np.errstate(over="ignore"):
+            runs.append((barrier, np.minimum(np.exp(barrier.xi), math.exp(XI_GRADE))))
         one = Stepper(7501, 0.1, DT_MAX, xi0=-60.0)
         runs.append((one, one.to_weighted(np.ones(7501))))
         for stepper, ub in runs:
@@ -417,6 +456,108 @@ class TestStencil:
         assert abs(rho / series - 1.0) <= 2e-15
 
 
+class TestGradedGrid:
+    def test_nodes(self):
+        cfg = CRITICAL
+        x, n = cfg.nodes(), cfg.n_uniform
+        np.testing.assert_array_equal(x[:n], cfg.xi_min + cfg.dxi * np.arange(n))
+        assert x[n - 1] == XI_GRADE and x.size == cfg.n_nodes == 1327
+        h = np.diff(x[n - 1:])
+        np.testing.assert_allclose(h, cfg.dxi * (1.0 + GRADE) ** np.arange(1, h.size + 1),
+                                   rtol=1e-12)
+        assert x[-2] < cfg.xi_max <= x[-1]
+        # up to XI_GRADE the grid is today's uniform one, end node included
+        for xi_max in (XI_GRADE, 55.03):
+            small = small_config(xi_max=xi_max, t_end=1.0)
+            assert small.n_nodes == small.n_uniform == int(round((xi_max + 40.0) / 0.05)) + 1
+
+    def test_zero_and_marginal_mode_exact_on_every_node(self):
+        stepper = Stepper(200, 0.05, 0.01, far=_graded(9.95, 0.05, 60))
+        assert np.all(stepper.step_values(np.zeros(stepper.n)) == 0.0)
+        # at xi >= 750 the sink is 0: a step is the bare linear solve
+        _assert_constant_invariant(200, 0.05, DT_MAX, far=_graded(759.95, 0.05, 60))
+
+    def test_second_difference_of_exp(self):
+        # (D e^{xi}) / e^{xi} in the flux form: 1 to rounding on the uniform
+        # rows, at least 1 from the last uniform node on (h+ >= h-)
+        stepper = config_stepper(CRITICAL)
+        n = CRITICAL.n_uniform
+        cells = np.diff(stepper.xi)
+        cells[: n - 1] = CRITICAL.dxi
+        k = stepper._k
+        ratio = (k[1:] * np.expm1(cells[1:]) + k[:-1] * np.expm1(-cells[:-1])) / stepper._m
+        assert np.all(np.abs(ratio[: n - 2] - 1.0) <= 1e-11)
+        assert np.all(ratio[n - 2:] >= 1.0) and ratio[n - 1] > 1.002
+
+    def test_one_is_an_equilibrium_only_on_the_uniform_part(self):
+        # u = 1 up to the last uniform node and the marginal mode past it:
+        # u falls off near the junction as a front would, and over t = 1
+        # that reaches 1.3e-12 at xi = 40, so u stays 1 on xi <= 30; u = 1
+        # on the graded cells grows and trips the guard
+        stepper = config_stepper(SimConfig(k=0.0, t_end=2000.0, dxi=0.1, dt=0.1))
+        ub = np.minimum(np.exp(stepper.xi), math.exp(XI_GRADE))
+        for _ in range(10):
+            ub = stepper.step_weighted(ub)
+        u = stepper.to_linear(ub)
+        np.testing.assert_allclose(u[stepper.xi <= XI_GRADE - 30.0], 1.0, rtol=0.0, atol=1e-12)
+        assert stepper.clamp_total == 0.0
+        with pytest.raises(NumericsError, match="instability"):
+            stepper.step_values(np.ones(stepper.n))
+
+    def test_one_is_an_equilibrium_only_where_the_sink_is_normal(self):
+        # uniform grid to xi = 705: dt e^{-xi} is normal up to xi ~ 706.1 at
+        # dt = 0.1, but only up to ~ 701.5 at dt = 1e-3, where the sink
+        # reads 0 on nodes with u = 1 still visible
+        stepper = Stepper(7651, 0.1, 0.1, xi0=-60.0)
+        ub = stepper.to_weighted(np.ones(stepper.n))
+        for _ in range(100):
+            ub = stepper.step_weighted(ub)
+        np.testing.assert_allclose(stepper.to_linear(ub), 1.0, rtol=0.0, atol=1e-12)
+        stepper.set_dt(1e-3)
+        with pytest.raises(NumericsError, match="instability"):
+            stepper.step_values(np.ones(stepper.n))
+
+    @pytest.mark.parametrize("kw,t_min,tol", [
+        (dict(k=3.0, t_end=500.0, levels=(0.1, 0.5)), 20.0, 1e-3),
+        (dict(k=-2.0, t_end=2000.0, dxi=0.1, dt=0.1), 100.0, 1e-3),
+    ])
+    def test_graded_agrees_with_uniform(self, kw, t_min, tol, monkeypatch):
+        # against the uniform grid over the same domain: levels within 1e-3
+        # (2.0e-4 measured for both) and r_hat / kappa within tol (4.6e-5 and
+        # 3.7e-4 measured).  rho(h)-fitted weights on the graded cells, the
+        # negative control, move them by 0.024-0.038 and 8.8e-3 / 0.031.
+        cfg = SimConfig(**kw)
+        fit = fit_critical if cfg.k == -2.0 else fit_log_correction
+
+        def run():
+            res = simulate(cfg)
+            return res.traces, fit(res.traces[0.5], t_min).r_hat
+
+        def shifts(traces, est):
+            moved = max(np.max(np.abs(traces[m].positions - uniform[m].positions))
+                        for m in cfg.levels)
+            return moved, abs(est - est_uniform)
+
+        graded, est_graded = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "XI_GRADE", math.inf)
+            assert cfg.n_nodes == cfg.n_uniform > 2500
+            uniform, est_uniform = run()
+        moved, drift = shifts(graded, est_graded)
+        assert moved <= 1e-3 and drift <= tol
+
+        init = Stepper.__init__
+
+        def rho_fitted(self, n, dxi, dt, xi0=0.0, far=()):
+            init(self, n, dxi, dt, xi0, far)
+            self._k[n - 1:] /= [_stencil_rho(h) for h in np.diff(self.xi[n - 1:])]
+            self.set_dt(dt)
+
+        monkeypatch.setattr(Stepper, "__init__", rho_fitted)
+        moved, drift = shifts(*run())
+        assert moved > 10 * 1e-3 and drift > 5 * tol
+
+
 class TestExtractLevel:
     def test_exact_on_pure_exponential(self):
         xi = 0.05 * np.arange(400)
@@ -443,6 +584,17 @@ class TestExtractLevel:
         g = GridFunction(0.0, 0.05, 1e-6 * np.exp(-0.05 * np.arange(100)))
         with pytest.raises(LevelNotAttainedError):
             extract_level(g, 0.0, 0.5)
+
+    def test_crossing_past_the_uniform_part_is_not_attained(self):
+        # datum u0 = min(1, A e^{-xi}), A = e^{XI_GRADE} / 2, the marginal
+        # mode through 1/2 at XI_GRADE.  At t = 1 a uniform grid puts the
+        # 0.5 crossing at xi = 59.04 and the 0.1 crossing at 61.44, past
+        # the uniform part of the graded grid
+        kw = dict(k=0.0, amplitude=0.5 * math.exp(XI_GRADE), xi_max=130.0, t_end=1.0)
+        inside = simulate(small_config(**kw, levels=(0.5,))).traces[0.5].positions[-1]
+        assert abs(inside - 2.0 - 59.04) < 0.01
+        with pytest.raises(LevelNotAttainedError):
+            simulate(small_config(**kw, levels=(0.1,)))
 
 
 class TestDiscreteResidual:
@@ -491,10 +643,21 @@ class TestComparisonPrinciple:
                 hi = stepper.step_values(hi)
             assert np.min(hi - lo) >= -1e-12
 
+    def test_ordered_pairs_stay_ordered_on_graded_cells(self):
+        # 240 uniform nodes and 40 graded cells (h up to 0.35)
+        rng = np.random.default_rng(5)
+        stepper = Stepper(240, 0.05, DT_MAX, far=_graded(11.95, 0.05, 40))
+        for _ in range(20):
+            lo, hi = _monotone_pair(rng, stepper.n)
+            for _step in range(1000):
+                lo = stepper.step_values(lo)
+                hi = stepper.step_values(hi)
+            assert np.min(hi - lo) >= -1e-12
+
     def test_monotone_data_stays_monotone(self):
         cfg = small_config(k=0.0, t_end=5.0)
         stepper = config_stepper(cfg)
-        u = plain_datum(cfg).values
+        u = init_front_data(cfg).values
         assert np.all(np.diff(u) <= 1e-12)
         for _ in range(500):
             u = stepper.step_values(u)
@@ -505,7 +668,7 @@ class TestTranslationCovariance:
     def test_ten_cell_shift_moves_levels_exactly(self):
         cfg = small_config(k=0.0, t_end=20.0)
         stepper = config_stepper(cfg)
-        a = plain_datum(cfg).values
+        a = init_front_data(cfg).values
         b = np.concatenate([np.ones(10), a[:-10]])
         out_times = (5.0, 10.0, 20.0)
         t = 0.0
@@ -567,7 +730,7 @@ class TestStepSchedule:
         cfg = small_config(k=0.0, t_end=12.0, snapshot_times=(0.0, ts))
         snap = simulate(cfg).snapshots
         assert sorted(snap) == [0.0, ts]
-        np.testing.assert_array_equal(snap[0.0].values, plain_datum(cfg).values)
+        np.testing.assert_array_equal(snap[0.0].values, init_front_data(cfg).values)
         direct = simulate(small_config(k=0.0, t_end=ts)).traces[0.5]
         assert direct.times[-1] == ts
         assert extract_level(snap[ts], ts, 0.5) == direct.positions[-1]
