@@ -1,7 +1,8 @@
 """Desk-scale laboratory for Fisher-KPP front drift laws.
 
 Submodules: special (self-similar profile machinery), waves (minimal wave and
-damped profiles), sim (co-moving IMEX solver), frontfit (drift-law fits and
+damped profiles), sim (co-moving IMEX and
+backward-Euler solver), frontfit (drift-law fits and
 wave distance), ansatz (sub/super-solution certificates), heatkernel (linear
 heat quadrature), cli (command-line front end).
 """

@@ -96,6 +96,8 @@ def cmd_simulate(args) -> int:
             "n_steps": result.n_steps,
             "dt_min": result.dt_min,
             "dt_max": result.dt_max,
+            "newton_iterations": result.newton_iterations,
+            "newton_iterations_max": result.newton_iterations_max,
         }},
     )
     print(f"simulate k={config.k:g}: {len(outputs)} files under {out_dir}")

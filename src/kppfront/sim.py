@@ -42,62 +42,95 @@ set_dt flushes it to 0 beyond).  Plain centered
 differences in u bias the front speed by dxi^2/4, which is fatal to the
 log-law fits (see the refinement evidence in the tests).
 
-Step.  One IMEX step solves
+Step.  Two kernels share the interior matrix A = M + dt K, with M = diag(m),
+K the conductance matrix (M D = -K), and the two end nodes held as
+Dirichlet data.  Their values are moved to the right-hand side (dt k ub_0
+and dt k ub_{n-1} join the first and last interior rows), which leaves a
+symmetric tridiagonal A with diagonal m_i + dt (k- + k+) and off-diagonal
+-dt k; on the uniform part it is tridiag(-off, 1 + 2 off, -off),
+off = dt / (rho dxi^2).  It is strictly diagonally dominant (row sums m_i)
+with positive diagonal, hence positive definite and an M-matrix.  Up to
+dt = DT_MAX a step is IMEX,
 
-    (M + dt K) ub+ = M (ub - dt e^{-xi} ub^2)
+    A ub+ = M (ub - dt e^{-xi} ub^2) + (boundary terms),
 
-with M = diag(m), K the conductance matrix (M D = -K), and the two end nodes
-held as Dirichlet data.  Their values are moved to the right-hand side
-(dt k ub_0 and dt k ub_{n-1} join the first and last interior rows), which
-leaves a symmetric tridiagonal interior matrix with diagonal
-m_i + dt (k- + k+) and off-diagonal -dt k; on the uniform part it is
-tridiag(-off, 1 + 2 off, -off), off = dt / (rho dxi^2).  It is strictly
-diagonally dominant (row sums m_i) with positive diagonal, hence positive
-definite and an M-matrix: it is factored as L D L^T (LAPACK dpttrf) once per
-step size and each step is one dpttrs solve, and its inverse is entrywise
-nonnegative, so the implicit part preserves order for every dt.
+with A factored as L D L^T (LAPACK dpttrf) once per step size and each step
+one dpttrs solve.  Past DT_MAX it is backward Euler,
+
+    F(ub+) := A ub+ + s ub+^2 = M ub + (boundary terms) =: b,  s = dt m e^{-xi},
+
+solved by Newton (below).  Stepper.step_weighted picks the kernel from
+dt > DT_MAX at each call.
 
 Reaction bound.  The explicit sink acts node by node as
 ub -> ub - dt e^{-xi} ub^2, with derivative 1 - 2 dt e^{-xi} ub = 1 - 2 dt u.
 It is monotone exactly when dt * max u <= 1/2, i.e. for states in [0, 1]
-when dt <= 1/2.  DT_MAX = 1/2 is that bound: no step, given or grown, exceeds
-it.  A step is the composition of two monotone maps, so ordered states stay
-ordered to rounding (the discrete comparison principle) at every step.
+when dt <= 1/2.  DT_MAX = 1/2 is that bound: no IMEX step exceeds it.  An
+IMEX step is the composition of two monotone maps (A^{-1} is entrywise
+nonnegative).  The backward-Euler map needs no bound: F is an M-function on
+v >= 0 (an M-matrix plus a diagonal map isotone in each v_i), and the
+inverse of an M-function is isotone at every dt (Ortega & Rheinboldt,
+Iterative Solution of Nonlinear Equations in Several Variables, 13.5),
+while b is isotone in ub.  So ordered states stay ordered to rounding (the
+discrete comparison principle) at every step of either kernel.
+
+Newton.  The iteration from v_0 (simulate's predictor, or ub) solves
+J(v_k) v_{k+1} = b + s v_k^2 with J(v) = A + 2 diag(s v): one dpttrf and
+one dpttrs per iteration, with J an M-matrix for v >= 0.  F is convex, so
+the error e_k = v_k - ub+ obeys e_{k+1} = J(v_k)^{-1} (s e_k^2) >= 0
+exactly: from the first iteration on the iterates lie above the solution
+and fall to it.  With e_u = e^{-xi} e the error in u units, s e_k^2 =
+M (dt e_u e_k), and J^{-1} M is nonnegative with row sums at most 1, so
+|e_{k+1}| <= dt max|e_u,k| max|e_k|: quadratic convergence with constant dt.
+The iteration stops once the last correction v_{k+1} - v_k, which estimates
+e_k, is at most NEWTON_TOL = 1e-7 in u units; what is left is about
+dt * 1e-14 in u units, far below every trace's resolution.  A stop at
+rounding level (1e-15) cannot be met: the correction stalls at the
+rounding of the solve.  Reaching NEWTON_MAX_ITER iterations, a dpttrf
+failure or a NaN raises NumericsError.
 
 Step schedule.  The drift laws are laws in ln t, so simulate spends about
 the same work on each decade of t.  The output times (the trace ladder
 1.2^j < t_end, then t_end and every snapshot time) are hit exactly.  On each
-output interval [t_a, t_b] the target step is
-h = min(DT_MAX, max(config.dt, DT_GROWTH t_a)): config.dt up to
-t = config.dt / DT_GROWTH, then growing like t, capped at DT_MAX.  The
-interval takes the fewest equal steps no longer than h,
-n = ceil((t_b - t_a) / h), and the interior matrix is refactored in place
-once per interval.  On an interval longer than h the steps lie in (h/2, h];
-one shorter than h (a snapshot time or t_end next to a ladder time) takes
-one step of its own length.  So a step can be shorter than config.dt: the
-critical fixture's smallest is 0.08 at dt = 0.1.  A scheme that
-preserves positivity at every dt is at most first order (Bolley & Crouzeix,
-RAIRO 1978), so the schedule, not the order, is where the work is saved.
+output interval [t_a, t_b] the target step is h = max(config.dt,
+DT_GROWTH t_a) while that is at most DT_MAX: config.dt up to
+t = config.dt / DT_GROWTH, then growing like t, IMEX throughout.  Past
+t = DT_MAX / DT_GROWTH = 500 it is h = NEWTON_GROWTH t_a, backward Euler.
+The interval takes the fewest equal steps no longer than h,
+n = ceil((t_b - t_a) / h) (one more if an IMEX step would pass DT_MAX), and
+the kernel is prepared once per interval (Stepper.set_dt).  On an
+interval longer than h the steps lie in (h/2, h]; one shorter than h (a
+snapshot time or t_end next to a ladder time) takes one step of its own
+length.  So a step can be shorter than config.dt: the critical fixture's
+smallest is 0.08 at dt = 0.1.  A scheme that preserves positivity at every
+dt is at most first order (Bolley & Crouzeix, RAIRO 1978), so the
+schedule, not the order, is where the work is saved.
 
 Range guard.  After each step u must lie in [-OVERSHOOT_TOL,
 1 + OVERSHOOT_TOL]; anything else, NaN and inf included, raises
 NumericsError.  A step from a valid state (u in [0, 1], ub <= e^{xi_J} past
-the last uniform node xi_J, dt <= DT_MAX) needs no clip.  The sink leaves at
-least half of each node's value (dt u <= 1/2) and dpttrs's recurrences only
-add nonnegative terms (the factor's off-diagonal is negative), so no output
-is negative.  The upper barrier is B = min(e^{xi}, e^{xi_J}): left of xi_J
-it is e^{xi}, on which the uniform stencil is exact, (I - dt D) e^{xi} =
-(1 - dt) e^{xi}; from xi_J on it is a constant, on which every stencil is
-exact; the min only lowers the neighbours, and the sink is increasing on
-[0, B].  So B is a discrete supersolution, and ub <= B stays true to
-rounding: u exceeds 1 only by rounding.  e^{xi} itself is no barrier on the
-graded cells: for h+ >= h- the second difference of e^{xi} is at least
-e^{xi} (at least 1.0027 e^{xi} on the critical grid), so u = 1 there grows
-and trips the guard.  A front's tail, ub ~ A xi^k, lies far below e^{xi_J}.
-Past xi ~ 708.4 + ln dt, where dt e^{-xi} is flushed to 0, e^{xi} is a
-barrier only for u <= 1 - dt, as on a front's tail; on the default grids
-those nodes are all graded.  Only beyond CLAMP_ALLOWANCE is u clipped back
-to [0, 1], the whole array, and each node's overshoot beyond it added to
+the last uniform node xi_J) needs no clip.  IMEX: the sink leaves at least
+half of each node's value (dt u <= 1/2) and dpttrs's recurrences only add
+nonnegative terms (the factor's off-diagonal is negative), so no output is
+negative.  Backward Euler: F(0) = 0 and b >= 0, so the isotone inverse
+gives ub+ >= 0, and Newton stops above the solution.  The upper barrier is
+B = min(e^{xi}, e^{xi_J}): left of xi_J it is e^{xi}, on which the uniform
+stencil is exact, (I - dt D) e^{xi} = (1 - dt) e^{xi}, so the IMEX step maps
+it to itself and F(e^{xi}) = (1 - dt) e^{xi} + dt e^{xi} = M e^{xi}; from
+xi_J on it is a constant, on which every stencil is exact and the sink only
+lowers it; the min only lowers the neighbours, and the IMEX sink is
+increasing on [0, B].  So B is a discrete supersolution of both kernels,
+u = 0 and u = 1 on the uniform part are equilibria of both at every dt, and
+ub <= B stays true to rounding (plus Newton's dt * 1e-14): u exceeds 1 only
+by rounding.  SimConfig rejects data above B, ln A + k ln xi > xi_J at a
+graded node.  e^{xi} itself is no barrier on the graded cells: for
+h+ >= h- the second difference of e^{xi} is at least e^{xi} (at least
+1.0027 e^{xi} on the critical grid), so u = 1 there grows and trips the
+guard.  A front's tail, ub ~ A xi^k, lies far below e^{xi_J}.  Past
+xi ~ 708.4 + ln dt, where dt e^{-xi} is flushed to 0, the sink is gone and
+e^{xi} is no barrier (u = 1 grows there); on the default grids those nodes
+are all graded, where the barrier is the constant e^{xi_J}.  Only beyond CLAMP_ALLOWANCE is u clipped back to
+[0, 1], the whole array, and each node's overshoot beyond it added to
 Stepper.clamp_total.
 
 Initial datum.  The front-like datum u0 ~ A xi^k e^{-xi} is defined once,
@@ -127,11 +160,17 @@ from .io import load_key_value_config
 
 log = logging.getLogger(__name__)
 
-# Largest step: the explicit sink is monotone exactly up to dt = 1/2 (see the
-# reaction bound above), the implicit part at any dt.
+# Largest IMEX step: the explicit sink is monotone exactly up to dt = 1/2 (see
+# the reaction bound above); longer steps are backward Euler.
 DT_MAX = 0.5
-# Growth rate of the step schedule: the target step is DT_GROWTH * t.
+# Growth rates of the step schedule: the target step is DT_GROWTH * t up to
+# DT_MAX, and NEWTON_GROWTH * t past it.
 DT_GROWTH = 1e-3
+NEWTON_GROWTH = 5e-3
+# Newton stop: the last correction at most NEWTON_TOL in u units, within
+# NEWTON_MAX_ITER iterations.
+NEWTON_TOL = 1e-7
+NEWTON_MAX_ITER = 20
 # Out-of-range guard before clamping.
 OVERSHOOT_TOL = 1e-9
 # Rounding allowance in u: the range guard clips and counts only beyond it; the
@@ -201,6 +240,18 @@ class SimConfig:
         if any(not 0.0 <= t <= self.t_end for t in snaps):
             raise DomainError("snapshot times must lie in [0, t_end]")
         object.__setattr__(self, "snapshot_times", snaps)
+        # the range guard's barrier min(e^{xi}, e^{xi_J}) must bound the datum
+        xi = self.nodes()
+        far = xi[self.n_uniform:]
+        if far.size:
+            tail = math.log(self.amplitude) + self.k * np.log(far)
+            worst = int(np.argmax(tail))
+            if tail[worst] > xi[self.n_uniform - 1]:
+                raise DomainError(
+                    f"amplitude too large for the graded cells: ln A + k ln xi = "
+                    f"{tail[worst]:.4g} at xi = {far[worst]:.4g} exceeds the last uniform "
+                    f"node xi_J = {xi[self.n_uniform - 1]:.4g}"
+                )
 
     @property
     def n_uniform(self) -> int:
@@ -248,6 +299,8 @@ class SimResult:
     n_steps: int
     dt_min: float
     dt_max: float
+    newton_iterations: int  # over all backward-Euler steps
+    newton_iterations_max: int  # of one step
 
 
 def _stencil_rho(h: float) -> float:
@@ -260,11 +313,14 @@ def _stencil_rho(h: float) -> float:
 
 
 class Stepper:
-    """Prefactorized IMEX stepper on a fixed grid (see the module docstring).
+    """Stepper on a fixed grid: IMEX up to DT_MAX on a matrix factored once
+    per step size, backward Euler by Newton past it (module docstring).
 
     Holds no solution state between steps: step_weighted returns a new array
     and leaves its input untouched.  It does keep scratch arrays, so one
-    instance serves one thread at a time.
+    instance serves one thread at a time.  Its steps run under the caller's
+    numpy error settings: numpy's default ignores the underflow of tail
+    values, and simulate ignores it for the whole run.
     """
 
     def __init__(self, n: int, dxi: float, dt: float, xi0: float = 0.0, far=()):
@@ -293,27 +349,38 @@ class Stepper:
         self._k = np.concatenate((np.full(n - 1, 1.0 / (_stencil_rho(dxi) * dxi * dxi)),
                                   1.0 / (h * dxi)))
         # row weights (h- + h+) / (2 dxi) of the interior rows: exactly 1 up to
-        # row _graded, the last uniform node's
+        # row _graded, the last uniform node's, and above 1 past it
         cells = np.concatenate(([dxi], h))
         self._m = np.concatenate((np.ones(n - 2), (cells[:-1] + cells[1:]) / (2.0 * dxi)))
         self._graded = n - 2
+        self._m_graded = self._m[self._graded:]
         self._sink = np.empty(self.n - 2)  # interior dt e^{-xi}
         self._u = np.empty(self.n)  # plain-u image for the range guard
         self.clamp_total = 0.0
+        self.newton_iterations = 0
+        self.newton_iterations_max = 0
         self.set_dt(dt)
 
     def set_dt(self, dt: float) -> None:
-        """Refactor the interior matrix for step size dt."""
-        if not 0.0 < dt <= DT_MAX:
-            raise DomainError(f"dt must lie in (0, {DT_MAX}]")
+        """Set the step size, any finite dt > 0, and prepare its kernel:
+        factor the interior matrix A for IMEX (dt <= DT_MAX), or keep A's
+        diagonal and the Newton sink s = dt m e^{-xi} for backward Euler."""
+        if not 0.0 < dt < math.inf:
+            raise DomainError(f"dt must be finite and positive, got {dt}")
         self.dt = dt
         off = dt * self._k
         self._off_first, self._off_last = off[0], off[-1]
         with np.errstate(under="ignore"):
             np.multiply(self._weight_down[1:-1], dt, out=self._sink)
         self._sink[self._sink < np.finfo(float).tiny] = 0.0  # not subnormal, as _weight_down
-        self._diag, self._sub, info = self._dpttrf(self._m + (off[:-1] + off[1:]), -off[1:-1],
-                                                   overwrite_d=1, overwrite_e=1)
+        a_diag = self._m + (off[:-1] + off[1:])
+        if dt > DT_MAX:
+            self._diag = self._sub = None
+            self._a_diag = a_diag
+            self._s = self._sink * self._m  # m >= 1: normal or 0 wherever the sink is
+            return
+        self._a_diag = self._s = None
+        self._diag, self._sub, info = self._dpttrf(a_diag, -off[1:-1], overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise NumericsError(f"interior matrix not positive definite (dpttrf info={info})")
 
@@ -328,21 +395,29 @@ class Stepper:
         with np.errstate(under="ignore"):
             return ub * self._weight_down
 
-    def step_weighted(self, ub: np.ndarray) -> np.ndarray:
+    def step_weighted(self, ub: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
+        """One step of size dt from the weighted state ub, as a new array:
+        IMEX up to DT_MAX, backward Euler past it, with Newton started from
+        guess (a nonnegative predictor of the result) or else from ub."""
         out = np.empty(self.n)
         out[0], out[-1] = ub[0], ub[-1]
         rhs = out[1:-1]  # built and solved in place
         inner = ub[1:-1]
-        with np.errstate(under="ignore"):
+        if self.dt > DT_MAX:
+            np.multiply(inner, self._m, out=rhs)
+            rhs[0] += self._off_first * ub[0]
+            rhs[-1] += self._off_last * ub[-1]
+            rhs[:] = self._newton(rhs, inner if guess is None else guess[1:-1])
+        else:
             np.multiply(self._sink, inner, out=rhs)
             rhs *= inner
             np.subtract(inner, rhs, out=rhs)
-            rhs[self._graded:] *= self._m[self._graded:]
+            rhs[self._graded:] *= self._m_graded
             rhs[0] += self._off_first * ub[0]
             rhs[-1] += self._off_last * ub[-1]
             self._dpttrs(self._diag, self._sub, rhs, overwrite_b=True)
-            u_view = np.multiply(out, self._weight_down, out=self._u)
-        lo, hi = float(u_view.min()), float(u_view.max())
+        u_view = np.multiply(out, self._weight_down, out=self._u)
+        lo, hi = float(np.minimum.reduce(u_view)), float(np.maximum.reduce(u_view))
         # negated in-range test: a NaN anywhere fails it
         if not (lo >= -OVERSHOOT_TOL and hi <= 1.0 + OVERSHOOT_TOL):
             raise NumericsError(
@@ -356,6 +431,38 @@ class Stepper:
             self.clamp_total += float(excess[excess > 0.0].sum())
             return clipped
         return out
+
+    def _newton(self, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Interior solution of A v + s v^2 = b by Newton from v >= 0 (the
+        stop rule and its error bound are in the module docstring)."""
+        weight = self._weight_down[1:-1]
+        for count in range(1, NEWTON_MAX_ITER + 1):
+            d = self._s * v
+            x = d * v
+            x += b
+            d *= 2.0
+            d += self._a_diag  # J's diagonal
+            e = self._k[1:-1] * -self.dt  # -dt k, bit for bit A's off-diagonal
+            d, e, info = self._dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+            if info != 0:
+                raise NumericsError(f"Newton matrix not positive definite (dpttrf info={info})")
+            x = self._dpttrs(d, e, x, overwrite_b=True)[0]
+            d = np.subtract(x, v, out=d)  # the correction, in u units below
+            d *= weight
+            correction = max(float(np.maximum.reduce(d)), -float(np.minimum.reduce(d)))
+            v = x
+            if correction <= NEWTON_TOL:
+                break
+            if correction != correction:
+                raise NumericsError("instability: NaN in the Newton iteration")
+        else:
+            raise NumericsError(
+                f"Newton did not converge in {NEWTON_MAX_ITER} iterations at dt = {self.dt:g}: "
+                f"last correction {correction:.3e} in u units"
+            )
+        self.newton_iterations += count
+        self.newton_iterations_max = max(self.newton_iterations_max, count)
+        return v
 
     def step_values(self, u: np.ndarray) -> np.ndarray:
         """One step in plain-u terms (converts at both ends; tail values that
@@ -421,16 +528,22 @@ def _output_times(config: SimConfig) -> tuple[list[float], list[float]]:
 
 def _step_count(span: float, h: float) -> int:
     """Fewest equal steps covering span, each at most h up to rounding: a
-    span that is a whole number of h takes that number, not one more.  No
-    step is longer than DT_MAX."""
+    span that is a whole number of h takes that number, not one more.  For
+    an IMEX target (h <= DT_MAX) no step is longer than DT_MAX."""
     n = max(1, math.ceil(span / h - 1e-9))
-    return n if span / n <= DT_MAX else n + 1
+    return n if h > DT_MAX or span / n <= DT_MAX else n + 1
 
 
+@np.errstate(under="ignore")  # once per run, not once per step
 def simulate(config: SimConfig) -> SimResult:
     """March the Cauchy problem to t_end on the growing step schedule (module
     docstring), sampling level traces at geometrically spaced times and
     snapshots at requested times.  Deterministic given config.
+
+    Newton starts each backward-Euler step from the linear extrapolation
+    max(ub + r (ub - ub_prev), 0) of the last two states, r the ratio of
+    the new step to the last (1 within an interval).  Underflow of tail
+    values is ignored for the whole run.
 
     Snapshots and level traces cover the uniform part, the config.n_uniform
     nodes xi_min + dxi i up to the node nearest min(xi_max, XI_GRADE); a
@@ -448,15 +561,30 @@ def simulate(config: SimConfig) -> SimResult:
     guard = min(20, stepper.n - 1)
     t = 0.0
     n_steps, dt_min, dt_max = 0, math.inf, 0.0
+    # the interval from t = 0 is IMEX (h = config.dt <= DT_MAX), so every
+    # Newton step has a previous state and step size
+    ub_prev, dt_prev = ub, config.dt
     for t_out in stops:
         if t_out == 0.0:  # only a snapshot time can be 0
             snapshots[0.0] = init_front_data(config)
             continue
-        h = min(DT_MAX, max(config.dt, DT_GROWTH * t))
+        h = max(config.dt, DT_GROWTH * t)
+        if h > DT_MAX:
+            h = NEWTON_GROWTH * t
         steps = _step_count(t_out - t, h)
         stepper.set_dt((t_out - t) / steps)
-        for _ in range(steps):
-            ub = stepper.step_weighted(ub)
+        if stepper.dt > DT_MAX:
+            for _ in range(steps):
+                guess = ub - ub_prev
+                guess *= stepper.dt / dt_prev
+                guess += ub
+                np.maximum(guess, 0.0, out=guess)
+                ub_prev, dt_prev = ub, stepper.dt  # before the step: one state fewer alive
+                ub = stepper.step_weighted(ub, guess)
+        else:
+            for _ in range(steps - 1):
+                ub = stepper.step_weighted(ub)
+            ub_prev, ub, dt_prev = ub, stepper.step_weighted(ub), stepper.dt
         n_steps += steps
         dt_min, dt_max = min(dt_min, stepper.dt), max(dt_max, stepper.dt)
         t = t_out
@@ -488,6 +616,8 @@ def simulate(config: SimConfig) -> SimResult:
         n_steps=n_steps,
         dt_min=dt_min,
         dt_max=dt_max,
+        newton_iterations=stepper.newton_iterations,
+        newton_iterations_max=stepper.newton_iterations_max,
     )
 
 

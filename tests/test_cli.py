@@ -84,13 +84,16 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 0
         diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert set(diagnostics) == {"clamp_total", "boundary_alarm", "n_steps", "dt_min", "dt_max"}
+        assert set(diagnostics) == {"clamp_total", "boundary_alarm", "n_steps", "dt_min", "dt_max",
+                                    "newton_iterations", "newton_iterations_max"}
         assert 0.0 <= diagnostics["clamp_total"] <= 1e-9
         assert diagnostics["boundary_alarm"] is False
         # dt = 0.05 is the floor; the step grows like 1e-3 t, to at most 0.2
         assert 0.04 < diagnostics["dt_min"] <= 0.05
         assert 0.15 < diagnostics["dt_max"] <= 0.2
         assert isinstance(diagnostics["n_steps"], int)
+        # t_end = 200 never passes the IMEX bound dt = 1/2
+        assert diagnostics["newton_iterations"] == diagnostics["newton_iterations_max"] == 0
         assert 200.0 / 0.2 < diagnostics["n_steps"] < 200.0 / 0.05
 
     def test_reruns_byte_identical(self, config_file, tmp_path):

@@ -1,6 +1,6 @@
-"""Co-moving-frame IMEX solver: initial data, stepping, level extraction,
-the scheme's residual on the minimal wave, order preservation, translation
-covariance."""
+"""Co-moving-frame solver, IMEX and backward Euler by Newton: initial data,
+stepping, level extraction, the scheme's residual on the minimal wave, order
+preservation, translation covariance."""
 
 import math
 
@@ -24,8 +24,10 @@ from kppfront import sim
 from kppfront.errors import NumericsError
 from kppfront.sim import (
     CLAMP_ALLOWANCE,
+    DT_GROWTH,
     DT_MAX,
     GRADE,
+    NEWTON_GROWTH,
     XI_GRADE,
     Stepper,
     _stencil_rho,
@@ -39,14 +41,31 @@ from kppfront.sim import (
 def _dirichlet_splu(n, dt, c_minus, c_0, c_plus):
     """Full n x n splu factor of I - dt L for the 3-point operator
     L = (c_minus, c_0, c_plus), row i reading u_{i-1}, u_i, u_{i+1} (scalars
-    or length-n arrays), with identity rows holding the two ends."""
+    or length-n arrays), with identity rows holding the two ends.  Factored
+    without pivoting, stable on these row diagonally dominant matrices: a
+    row swap would mix the identity rows with rows thousands of times larger
+    once dt c is large, and lose the end values they hold."""
     c_minus, c_0, c_plus = (np.broadcast_to(c, n) for c in (c_minus, c_0, c_plus))
     main = 1.0 - dt * c_0
     lower = -dt * c_minus[1:]
     upper = -dt * c_plus[:-1]
     main[0] = main[-1] = 1.0
     upper[0] = lower[-1] = 0.0
-    return spla.splu(sp.diags([lower, main, upper], (-1, 0, 1), format="csc"))
+    return spla.splu(sp.diags([lower, main, upper], (-1, 0, 1), format="csc"),
+                     permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+
+def _nonuniform_stencil(x, dxi):
+    """(c_minus, c_plus) of the nonuniform three-point stencil
+      2/(h- + h+) [c+ (u+ - u)/h+ - c- (u - u-)/h-]
+    on the nodes x, zero in the two end rows: c = 1/rho(dxi) on cells up to
+    XI_GRADE, 1 on the graded ones."""
+    h = np.diff(x)
+    c = np.where(x[1:] <= XI_GRADE + 1e-9, dxi**2 / (2.0 * (math.cosh(dxi) - 1.0)), 1.0)
+    c_minus, c_plus = np.zeros(x.size), np.zeros(x.size)
+    c_minus[1:-1] = 2.0 * c[:-1] / ((h[:-1] + h[1:]) * h[:-1])
+    c_plus[1:-1] = 2.0 * c[1:] / ((h[:-1] + h[1:]) * h[1:])
+    return c_minus, c_plus
 
 
 def _graded(x0, dxi, count):
@@ -96,6 +115,21 @@ class TestConfig:
     def test_default_domain_covers_far_zone(self):
         cfg = SimConfig(k=0.0, t_end=2500.0)
         assert cfg.xi_max >= 3.0 * math.sqrt(2500.0) + 20.0
+
+    @pytest.mark.parametrize("k", [0.0, -2.0, 3.0])
+    def test_rejects_data_above_the_graded_barrier(self, k):
+        # the range guard's barrier min(e^{xi}, e^{xi_J}) bounds the datum
+        # only while ln A + k ln xi <= xi_J on every graded node: the first
+        # one binds for k < 0, the last for k > 0
+        probe = SimConfig(k=k, t_end=1.0, levels=(0.9,))
+        x = probe.nodes()
+        xi_j, far = x[probe.n_uniform - 1], x[probe.n_uniform:]
+        assert xi_j == XI_GRADE and far.size > 0
+        ln_a = xi_j - np.max(k * np.log(far))
+        inside = SimConfig(k=k, amplitude=math.exp(ln_a - 0.1), t_end=1.0, levels=(0.9,))
+        assert simulate(inside).clamp_total == 0.0
+        with pytest.raises(DomainError, match="graded cells"):
+            SimConfig(k=k, amplitude=math.exp(ln_a + 0.1), t_end=1.0, levels=(0.9,))
 
     def test_mapping_parser(self):
         cfg = config_from_mapping({"k": "1", "levels": "0.1 0.5", "t_end": "50"})
@@ -299,24 +333,23 @@ class TestStep:
         for _ in range(20):
             ub = stepper.step_weighted(ub)
         x = cfg.nodes()
-        h = np.diff(x)
-        c = np.where(x[1:] <= XI_GRADE + 1e-9, dxi**2 / (2.0 * (math.cosh(dxi) - 1.0)), 1.0)
-        c_minus, c_plus = np.zeros(x.size), np.zeros(x.size)
-        c_minus[1:-1] = 2.0 * c[:-1] / ((h[:-1] + h[1:]) * h[:-1])
-        c_plus[1:-1] = 2.0 * c[1:] / ((h[:-1] + h[1:]) * h[1:])
+        c_minus, c_plus = _nonuniform_stencil(x, dxi)
         lu = _dirichlet_splu(x.size, dt, c_minus, -(c_minus + c_plus), c_plus)
         with np.errstate(under="ignore"):
             rhs = ub - dt * (np.exp(-x) * ub * ub)
         rhs[0], rhs[-1] = ub[0], ub[-1]
         np.testing.assert_allclose(stepper.step_weighted(ub), lu.solve(rhs), rtol=1e-11, atol=0.0)
 
-    def test_rejects_step_above_monotonicity_bound(self):
-        above = math.nextafter(DT_MAX, 1.0)
-        with pytest.raises(DomainError):
-            Stepper(200, 0.05, above)
-        stepper = Stepper(200, 0.05, DT_MAX)
-        with pytest.raises(DomainError):
-            stepper.set_dt(above)
+    def test_rejects_nonpositive_and_nonfinite_step(self):
+        # past DT_MAX the step is backward Euler, so any finite dt > 0 is taken
+        for bad in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                Stepper(200, 0.05, bad)
+            stepper = Stepper(200, 0.05, DT_MAX)
+            with pytest.raises(DomainError):
+                stepper.set_dt(bad)
+        stepper.set_dt(1e6)
+        assert stepper.dt == 1e6
 
     def test_set_dt_matches_fresh_stepper(self):
         stepper = Stepper(200, 0.05, 0.01)
@@ -444,6 +477,97 @@ class TestStep:
         decay = out[2000] / u[2000]
         predicted = 1.0 - dt * dxi**2 / 4.0
         np.testing.assert_allclose(decay, predicted, rtol=1e-3)
+
+
+class TestNewton:
+    """Backward-Euler steps past DT_MAX, solved by Newton."""
+
+    @pytest.mark.parametrize("dt", [2.0, 20.0])
+    def test_matches_full_matrix_newton_oracle(self, dt):
+        # one step from the critical fixture's datum after 20 IMEX steps,
+        # against Newton on the full matrix of the nonuniform stencil with
+        # its two Dirichlet rows, iterated far past convergence
+        ub = init_front_data_weighted(CRITICAL)
+        stepper = config_stepper(CRITICAL)
+        for _ in range(20):
+            ub_prev, ub = ub, stepper.step_weighted(ub)
+        stepper.set_dt(dt)
+        x = CRITICAL.nodes()
+        c_minus, c_plus = _nonuniform_stencil(x, CRITICAL.dxi)
+        with np.errstate(under="ignore"):
+            w = np.exp(-x)
+        v = ub.copy()
+        for _ in range(12):
+            lu = _dirichlet_splu(x.size, dt, c_minus, -(c_minus + c_plus) - 2.0 * w * v, c_plus)
+            with np.errstate(under="ignore"):
+                rhs = ub + dt * w * v * v
+            rhs[0], rhs[-1] = ub[0], ub[-1]
+            v = lu.solve(rhs)
+        np.testing.assert_allclose(stepper.step_weighted(ub), v, rtol=1e-11, atol=0.0)
+        # and from simulate's extrapolated predictor
+        guess = np.maximum(ub + dt / CRITICAL.dt * (ub - ub_prev), 0.0)
+        np.testing.assert_allclose(stepper.step_weighted(ub, guess), v, rtol=1e-11, atol=0.0)
+
+    def test_equilibria_and_barrier_at_dt_50(self, monkeypatch):
+        # u = 0 is exact everywhere and u = 1 on a uniform grid; the barrier
+        # min(e^{xi}, e^{XI_GRADE}) of the graded critical grid steps
+        # without entering the clip
+        stepper = config_stepper(CRITICAL)
+        stepper.set_dt(50.0)
+        assert np.all(stepper.step_values(np.zeros(stepper.n)) == 0.0)
+        one = Stepper(601, 0.1, 50.0, xi0=-60.0)
+        np.testing.assert_allclose(one.step_values(np.ones(601)), 1.0, rtol=0.0, atol=1e-12)
+        calls = 0
+        clip = np.clip
+
+        def counting_clip(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return clip(*args, **kwargs)
+
+        monkeypatch.setattr(np, "clip", counting_clip)
+        with np.errstate(over="ignore"):
+            barrier = np.minimum(np.exp(stepper.xi), math.exp(XI_GRADE))
+        stepper.step_weighted(barrier)
+        assert calls == 0 and stepper.clamp_total == one.clamp_total == 0.0
+
+    @pytest.mark.parametrize("dt", [2.0, 20.0, 200.0])
+    def test_ordered_pairs_stay_ordered_on_graded_cells(self, dt):
+        assert _pairs_stay_ordered(dt, 200)
+
+    def test_imex_past_its_bound_is_rejected(self, monkeypatch):
+        # negative control: with DT_MAX patched to 10 the dt = 2 steps are
+        # IMEX, whose sink is not monotone past dt = 1/2
+        monkeypatch.setattr(sim, "DT_MAX", 10.0)
+        assert not _pairs_stay_ordered(2.0, 200)
+
+    def test_nan_raises(self):
+        u = np.linspace(1.0, 0.0, 200)
+        u[100] = np.nan
+        with pytest.raises(NumericsError, match="NaN"):
+            Stepper(200, 0.05, 2.0).step_values(u)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sim, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NumericsError, match="did not converge"):
+            simulate(SimConfig(k=-2.0, t_end=700.0, dxi=0.1, dt=0.1))
+
+    def test_no_subnormal_in_the_newton_diagonal_on_critical_grid(self):
+        # the diagonal's term 2 s v, s = dt m e^{-xi}: s is flushed to 0
+        # where it leaves the normal range, and on the critical grid the
+        # graded cells are too coarse there for s v to be subnormal, for
+        # the datum and for the states Newton steps reach
+        stepper = config_stepper(CRITICAL)
+        ub = init_front_data_weighted(CRITICAL)
+        tiny = np.finfo(float).tiny
+        for dt in (2.0, 50.0, 500.0):
+            stepper.set_dt(dt)
+            s = stepper._s
+            for v in (ub, stepper.step_weighted(ub, ub)):
+                sv = s * v[1:-1]
+                assert not np.any((sv != 0.0) & (sv < tiny)), dt
+            assert not np.any((s != 0.0) & (s < tiny)), dt
+            assert s[0] > 0.0 and s[-1] == 0.0
 
 
 class TestStencil:
@@ -628,6 +752,26 @@ def _monotone_pair(rng, n):
     return lo.copy(), hi.copy()
 
 
+def _pairs_stay_ordered(dt, steps):
+    """Whether 20 ordered monotone pairs on a graded stepper (240 uniform
+    nodes, 40 graded cells, h up to 0.35) stay ordered to 1e-12 over `steps`
+    steps of size dt; a step that fails the range guard counts as a
+    failure."""
+    rng = np.random.default_rng(5)
+    stepper = Stepper(240, 0.05, dt, far=_graded(11.95, 0.05, 40))
+    for _ in range(20):
+        lo, hi = _monotone_pair(rng, stepper.n)
+        try:
+            for _step in range(steps):
+                lo = stepper.step_values(lo)
+                hi = stepper.step_values(hi)
+        except NumericsError:
+            return False
+        if np.min(hi - lo) < -1e-12:
+            return False
+    return True
+
+
 class TestComparisonPrinciple:
     def test_fifty_random_ordered_pairs_for_1000_steps(self):
         # dt = DT_MAX is where the grown schedule ends up; the sink is still
@@ -644,15 +788,7 @@ class TestComparisonPrinciple:
             assert np.min(hi - lo) >= -1e-12
 
     def test_ordered_pairs_stay_ordered_on_graded_cells(self):
-        # 240 uniform nodes and 40 graded cells (h up to 0.35)
-        rng = np.random.default_rng(5)
-        stepper = Stepper(240, 0.05, DT_MAX, far=_graded(11.95, 0.05, 40))
-        for _ in range(20):
-            lo, hi = _monotone_pair(rng, stepper.n)
-            for _step in range(1000):
-                lo = stepper.step_values(lo)
-                hi = stepper.step_values(hi)
-            assert np.min(hi - lo) >= -1e-12
+        assert _pairs_stay_ordered(DT_MAX, 1000)
 
     def test_monotone_data_stays_monotone(self):
         cfg = small_config(k=0.0, t_end=5.0)
@@ -750,6 +886,7 @@ class TestStepSchedule:
 
     def test_every_step_within_bound_and_grows_to_it(self, monkeypatch):
         # t_end = 2000 takes the step from dt = 0.1 through 1e-3 t to DT_MAX
+        # (IMEX), then past t = 500 to 5e-3 t (backward Euler)
         sizes = []
         original = Stepper.set_dt
 
@@ -761,9 +898,18 @@ class TestStepSchedule:
         cfg = SimConfig(k=0.0, xi_min=-20.0, dxi=0.2, dt=0.1, t_end=2000.0)
         res = simulate(cfg)
         grown = sizes[1:]  # the first call is the constructor's config.dt
-        assert all(0.0 < dt <= DT_MAX for dt in grown)
+        stops = sim._output_times(cfg)[1]
+        for t_a, dt in zip([0.0] + stops[:-1], grown):
+            h = max(cfg.dt, DT_GROWTH * t_a)
+            if h <= DT_MAX:
+                assert 0.0 < dt <= min(h, DT_MAX) * (1.0 + 1e-9), (t_a, dt)
+            else:
+                assert DT_MAX < dt <= NEWTON_GROWTH * t_a * (1.0 + 1e-9), (t_a, dt)
         assert res.dt_min == min(grown) and res.dt_max == max(grown)
-        assert res.dt_max > 0.49  # the ladder spans are not whole multiples of DT_MAX
+        assert res.dt_max > 8.0  # 5e-3 t on the last ladder interval, from t = 1750
         assert cfg.dt / 2 < res.dt_min <= cfg.dt  # a short span can halve the step
-        # 1000 steps to t = 100, 1000 ln 5 to t = 500, 3000 at DT_MAX
-        assert 5000 < res.n_steps < 6000
+        # 1000 steps to t = 100, 1000 ln 5.9 to the first ladder time past
+        # t = 500 (590.7), 200 ln(2000 / 590.7) = 244 backward Euler, each
+        # interval's count rounded up: 2,955 IMEX steps and 267 Newton steps
+        assert 3000 < res.n_steps < 3500
+        assert res.newton_iterations >= 267 and res.newton_iterations_max >= 1
