@@ -2,14 +2,14 @@
 quadrature of kernel integrals with per-piece panel doubling.
 
 The one family covered is the half-line Dirichlet solution v(t, x) from the
-piecewise data (1 on (0,1], 1/x^2 beyond), with its x-derivative and an
-independent sinh-form route.  Each route takes t, x and tol as floats or as
-arrays that broadcast together; an array is integrated in one pass whose
-every round evaluates the 21-point Gauss-Kronrod rule on the equal panels of
-every open piece of every point in one numpy call.  A point's result does
-not depend on the other points of its batch.  The kernels are arranged so no
-catastrophic cancellation or overflow occurs: the image kernel is evaluated as
-exp(-(x-y)^2/4t) * (-expm1(-xy/t)).
+data 1 on (0,1], 1/x^2 beyond (sim's front datum e^{x} u0 at k = -2, A = 1),
+with its x-derivative and an independent sinh-form route.  Each route takes t,
+x and tol as floats or as arrays that broadcast together; an array is
+integrated in one pass whose every round evaluates the 21-point Gauss-Kronrod
+rule on the equal panels of every open piece of every point in one numpy call.
+A point's result does not depend on the other points of its batch.  The
+kernels are arranged so no catastrophic cancellation or overflow occurs: the
+image kernel is evaluated as exp(-(x-y)^2/4t) * (-expm1(-xy/t)).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .report import VerificationReport
+from .sim import _log_front_data
 
 # Most equal panels one piece of a quadrature may be split into (a power of
 # two), and the relative tolerance of every piece.
@@ -76,8 +77,10 @@ class QuadratureResult:
 
 
 def critical_data(y):
-    """Initial data of the critical-case Dirichlet problem, elementwise."""
-    return np.where(y > 0.0, 1.0 / np.maximum(y * y, 1.0), 0.0)
+    """Initial data of the critical-case Dirichlet problem, elementwise: 0 on
+    y <= 0, and on y > 0 sim's weighted front datum e^{y} u0 at k = -2, A = 1,
+    which is 1 on (0, 1] and 1/y^2 beyond."""
+    return np.where(y > 0.0, np.exp(_log_front_data(-2.0, 1.0, y)), 0.0)
 
 
 def _gk21(f, a, b, params):

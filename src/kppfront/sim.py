@@ -54,8 +54,9 @@ dt = DT_MAX a step is IMEX,
 
     A ub+ = M (ub - dt e^{-xi} ub^2) + (boundary terms),
 
-with A factored as L D L^T (LAPACK dpttrf) once per step size and each step
-one dpttrs solve.  Past DT_MAX it is backward Euler,
+with A factored as L D L^T (LAPACK dpttrf, in Stepper._factor, the one
+routine that factors for both kernels) once per step size and each step one
+dpttrs solve.  Past DT_MAX it is backward Euler,
 
     F(ub+) := A ub+ + s ub+^2 = M ub + (boundary terms) =: b,  s = dt m e^{-xi},
 
@@ -362,9 +363,9 @@ class Stepper:
         self.set_dt(dt)
 
     def set_dt(self, dt: float) -> None:
-        """Set the step size, any finite dt > 0, and prepare its kernel:
-        factor the interior matrix A for IMEX (dt <= DT_MAX), or keep A's
-        diagonal and the Newton sink s = dt m e^{-xi} for backward Euler."""
+        """Set the step size, any finite dt > 0: build A's diagonal and
+        off-diagonal, the sink dt e^{-xi} and the Newton sink s = dt m e^{-xi},
+        and factor A once for IMEX (dt <= DT_MAX)."""
         if not 0.0 < dt < math.inf:
             raise DomainError(f"dt must be finite and positive, got {dt}")
         self.dt = dt
@@ -373,16 +374,18 @@ class Stepper:
         with np.errstate(under="ignore"):
             np.multiply(self._weight_down[1:-1], dt, out=self._sink)
         self._sink[self._sink < np.finfo(float).tiny] = 0.0  # not subnormal, as _weight_down
-        a_diag = self._m + (off[:-1] + off[1:])
-        if dt > DT_MAX:
-            self._diag = self._sub = None
-            self._a_diag = a_diag
-            self._s = self._sink * self._m  # m >= 1: normal or 0 wherever the sink is
-            return
-        self._a_diag = self._s = None
-        self._diag, self._sub, info = self._dpttrf(a_diag, -off[1:-1], overwrite_d=1, overwrite_e=1)
+        self._s = self._sink * self._m  # m >= 1: normal or 0 wherever the sink is
+        self._a_diag = self._m + (off[:-1] + off[1:])
+        self._a_off = -off[1:-1]
+        if dt <= DT_MAX:
+            self._diag, self._sub = self._factor(self._a_diag)
+
+    def _factor(self, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """L D L^T (dpttrf), as new arrays, of A with its diagonal replaced by diag."""
+        d, e, info = self._dpttrf(diag, self._a_off)
         if info != 0:
-            raise NumericsError(f"interior matrix not positive definite (dpttrf info={info})")
+            raise NumericsError(f"matrix not positive definite (dpttrf info={info})")
+        return d, e
 
     def to_weighted(self, u: np.ndarray) -> np.ndarray:
         # zero stays zero even where e^{xi} has overflowed to inf
@@ -403,18 +406,19 @@ class Stepper:
         out[0], out[-1] = ub[0], ub[-1]
         rhs = out[1:-1]  # built and solved in place
         inner = ub[1:-1]
-        if self.dt > DT_MAX:
+        newton = self.dt > DT_MAX
+        if newton:
             np.multiply(inner, self._m, out=rhs)
-            rhs[0] += self._off_first * ub[0]
-            rhs[-1] += self._off_last * ub[-1]
-            rhs[:] = self._newton(rhs, inner if guess is None else guess[1:-1])
         else:
             np.multiply(self._sink, inner, out=rhs)
             rhs *= inner
             np.subtract(inner, rhs, out=rhs)
             rhs[self._graded:] *= self._m_graded
-            rhs[0] += self._off_first * ub[0]
-            rhs[-1] += self._off_last * ub[-1]
+        rhs[0] += self._off_first * ub[0]
+        rhs[-1] += self._off_last * ub[-1]
+        if newton:
+            rhs[:] = self._newton(rhs, inner if guess is None else guess[1:-1])
+        else:
             self._dpttrs(self._diag, self._sub, rhs, overwrite_b=True)
         u_view = np.multiply(out, self._weight_down, out=self._u)
         lo, hi = float(np.minimum.reduce(u_view)), float(np.maximum.reduce(u_view))
@@ -442,11 +446,7 @@ class Stepper:
             x += b
             d *= 2.0
             d += self._a_diag  # J's diagonal
-            e = self._k[1:-1] * -self.dt  # -dt k, bit for bit A's off-diagonal
-            d, e, info = self._dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-            if info != 0:
-                raise NumericsError(f"Newton matrix not positive definite (dpttrf info={info})")
-            x = self._dpttrs(d, e, x, overwrite_b=True)[0]
+            x = self._dpttrs(*self._factor(d), x, overwrite_b=True)[0]
             d = np.subtract(x, v, out=d)  # the correction, in u units below
             d *= weight
             correction = max(float(np.maximum.reduce(d)), -float(np.minimum.reduce(d)))
@@ -470,21 +470,21 @@ class Stepper:
         return self.to_linear(self.step_weighted(self.to_weighted(u)))
 
 
-def _log_front_data(config: SimConfig, xi: np.ndarray) -> np.ndarray:
+def _log_front_data(k: float, amplitude: float, xi) -> np.ndarray:
     """L = ln(e^{xi} u0) at the nodes xi, for the front-like datum u0: 1 on
     xi <= 0, the A xi^k e^{-xi} tail (capped at 1) from xi = 1 on, and a
     log-linear bridge on (0, 1).  Weighted log space keeps the tail
     polynomial-sized where u0 underflows doubles, and avoids the cancellation
     of xi against ln u0 ~ -xi."""
-    ln_a = math.log(config.amplitude)
+    ln_a = math.log(amplitude)
     bridge = (1.0 + min(0.0, ln_a - 1.0)) * xi
-    tail = np.minimum(xi, ln_a + config.k * np.log(np.maximum(xi, 1.0)))
+    tail = np.minimum(xi, ln_a + k * np.log(np.maximum(xi, 1.0)))
     return np.where(xi <= 0.0, xi, np.where(xi < 1.0, bridge, tail))
 
 
 def init_front_data_weighted(config: SimConfig) -> np.ndarray:
     """Weighted image e^{xi} u0 = exp(L) of the datum at every stepped node."""
-    return np.exp(_log_front_data(config, config.nodes()))
+    return np.exp(_log_front_data(config.k, config.amplitude, config.nodes()))
 
 
 def init_front_data(config: SimConfig) -> GridFunction:
@@ -492,7 +492,7 @@ def init_front_data(config: SimConfig) -> GridFunction:
     snapshot: exactly 1 on xi <= 0, where L = xi."""
     xi = config.nodes()[:config.n_uniform]
     with np.errstate(under="ignore"):
-        u = np.exp(_log_front_data(config, xi) - xi)
+        u = np.exp(_log_front_data(config.k, config.amplitude, xi) - xi)
     return GridFunction(config.xi_min, config.dxi, u)
 
 
@@ -542,8 +542,9 @@ def simulate(config: SimConfig) -> SimResult:
 
     Newton starts each backward-Euler step from the linear extrapolation
     max(ub + r (ub - ub_prev), 0) of the last two states, r the ratio of
-    the new step to the last (1 within an interval).  Underflow of tail
-    values is ignored for the whole run.
+    the new step to the last (1 within an interval); the interval from t = 0
+    is IMEX (h = config.dt), so both exist.  Underflow of tail values is
+    ignored for the whole run.
 
     Snapshots and level traces cover the uniform part, the config.n_uniform
     nodes xi_min + dxi i up to the node nearest min(xi_max, XI_GRADE); a
@@ -561,9 +562,6 @@ def simulate(config: SimConfig) -> SimResult:
     guard = min(20, stepper.n - 1)
     t = 0.0
     n_steps, dt_min, dt_max = 0, math.inf, 0.0
-    # the interval from t = 0 is IMEX (h = config.dt <= DT_MAX), so every
-    # Newton step has a previous state and step size
-    ub_prev, dt_prev = ub, config.dt
     for t_out in stops:
         if t_out == 0.0:  # only a snapshot time can be 0
             snapshots[0.0] = init_front_data(config)
@@ -573,18 +571,16 @@ def simulate(config: SimConfig) -> SimResult:
             h = NEWTON_GROWTH * t
         steps = _step_count(t_out - t, h)
         stepper.set_dt((t_out - t) / steps)
-        if stepper.dt > DT_MAX:
-            for _ in range(steps):
+        newton = stepper.dt > DT_MAX
+        for _ in range(steps):
+            guess = None
+            if newton:
                 guess = ub - ub_prev
                 guess *= stepper.dt / dt_prev
                 guess += ub
                 np.maximum(guess, 0.0, out=guess)
-                ub_prev, dt_prev = ub, stepper.dt  # before the step: one state fewer alive
-                ub = stepper.step_weighted(ub, guess)
-        else:
-            for _ in range(steps - 1):
-                ub = stepper.step_weighted(ub)
-            ub_prev, ub, dt_prev = ub, stepper.step_weighted(ub), stepper.dt
+            ub_prev, dt_prev = ub, stepper.dt  # before the step: one state fewer alive
+            ub = stepper.step_weighted(ub, guess)
         n_steps += steps
         dt_min, dt_max = min(dt_min, stepper.dt), max(dt_max, stepper.dt)
         t = t_out

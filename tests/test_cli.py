@@ -97,11 +97,19 @@ class TestSimulateCommand:
         assert 200.0 / 0.2 < diagnostics["n_steps"] < 200.0 / 0.05
 
     def test_reruns_byte_identical(self, config_file, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", str(config_file), "--out", str(out1)]) == 0
-        assert main(["simulate", "--config", str(config_file), "--out", str(out2)]) == 0
-        for rel in ("traces/level_0.5.csv", "snapshots/t_200.csv", "manifest.json"):
-            assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+        # FAST_CONFIG steps IMEX only; the k = -2 run passes t = 500 and
+        # takes backward-Euler (Newton) steps from there to t = 1000
+        newton = tmp_path / "newton.cfg"
+        newton.write_text("k = -2\ndxi = 0.1\ndt = 0.1\nt_end = 1000\nsnapshot_times = 1000\n",
+                          encoding="utf-8")
+        for cfg, t_end in ((config_file, 200), (newton, 1000)):
+            out1, out2 = tmp_path / f"a{t_end}", tmp_path / f"b{t_end}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
+            assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
+            for rel in ("traces/level_0.5.csv", f"snapshots/t_{t_end}.csv", "manifest.json"):
+                assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+        diagnostics = json.loads((out1 / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["newton_iterations"] > 0
 
     def test_nan_state_exits_with_numerics_code(self, config_file, tmp_path, monkeypatch, capsys):
         from kppfront import sim

@@ -2,6 +2,7 @@
 stepping, level extraction, the scheme's residual on the minimal wave, order
 preservation, translation covariance."""
 
+import logging
 import math
 
 import numpy as np
@@ -547,6 +548,17 @@ class TestNewton:
         with pytest.raises(NumericsError, match="NaN"):
             Stepper(200, 0.05, 2.0).step_values(u)
 
+    def test_factor_failure_raises_from_both_kernels(self):
+        # the one dpttrf call and its check serve the IMEX factor in set_dt
+        # and every Newton iteration: a failed factorization stops either
+        stepper = Stepper(200, 0.05, 0.01)
+        stepper._dpttrf = lambda d, e: (d, e, 1)
+        with pytest.raises(NumericsError, match="dpttrf"):
+            stepper.set_dt(0.1)
+        stepper.set_dt(2.0)  # Newton factors per iteration, not here
+        with pytest.raises(NumericsError, match="dpttrf"):
+            stepper.step_values(np.linspace(1.0, 0.0, 200))
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(sim, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NumericsError, match="did not converge"):
@@ -848,6 +860,22 @@ class TestSimulate:
         mask = tr.times >= 10.0
         speeds = np.diff(tr.positions[mask]) / np.diff(tr.times[mask])
         assert np.all(np.abs(speeds - 2.0) < 0.2)
+
+    @pytest.mark.parametrize("kw,ln_a", [
+        (dict(xi_max=50.0, t_end=1.0), 30.0),  # uniform: u = 5.3e-9 at that node
+        (dict(t_end=10.0), 59.9),  # graded: the datum at the barrier e^{XI_GRADE}
+    ])
+    def test_boundary_alarm_fires_on_tail_mass_at_the_outflow(self, kw, ln_a, caplog):
+        # positive control for the guard that production runs must not trip:
+        # a datum that puts mass near the right end fires it, the same domain
+        # with A = 1 does not
+        with caplog.at_level(logging.WARNING, logger="kppfront.sim"):
+            assert simulate(SimConfig(k=0.0, amplitude=math.exp(ln_a), **kw)).boundary_alarm
+        assert "of the outflow boundary" in caplog.text
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="kppfront.sim"):
+            assert not simulate(SimConfig(k=0.0, **kw)).boundary_alarm
+        assert "outflow" not in caplog.text
 
 
 class TestStepSchedule:
