@@ -1,11 +1,13 @@
 """Numerical certificates for the sub- and super-solution constructions.
 
-Each check evaluates a closed-form residual expression on a (t, z/sqrt(t))
-grid and issues a sign verdict.  Signs are judged after normalizing by the
-local magnitude of the expression's terms, with 1e-12 slack: near z = 0 the
-expressions vanish and raw rounding noise would otherwise dominate.  The
-closed forms themselves are cross-validated against Richardson-refined finite
-differences of the actual moving-frame ansatz functions.
+Each sign check evaluates a closed-form residual on a (t, point) grid,
+normalized by the magnitude of its terms; _sign_scan, the one place that
+judges a sign, builds its report: the worst value, worst_at and a verdict with
+SIGN_TOL = 1e-12 slack (near z = 0 the expressions vanish and raw rounding
+noise would otherwise dominate).  Both psi checks share _psi_scan's grid and
+differ only in their bracket.  The residual identity check, the one report
+built elsewhere, cross-validates the closed forms against Richardson-refined
+finite differences of the moving-frame ansatz functions.
 """
 
 from __future__ import annotations
@@ -131,25 +133,40 @@ def _t_grid(t0: float, t_max: float, n_t: int) -> np.ndarray:
     return np.geomspace(t0, t_max, n_t)
 
 
-def _sign_scan(ts, points, signed, sense: str):
-    """Worst normalized residual of a sign condition over a (t, point) grid.
-
-    signed is the array of normalized signed residuals, one row per t in ts;
-    points holds the sample points, 1-d when every t shares them or one row
-    per t.  sense is "super" (residual >= 0: the worst is the minimum) or
-    "sub" (residual <= 0: the worst is the maximum).  Returns
-    (worst, worst_at, verdict): worst_at is the first (t, point) in row order
-    attaining the worst, and the verdict allows SIGN_TOL of the wrong sign.  A
-    NaN residual fails the scan, with worst NaN at its first (t, point)."""
+def _sign_scan(name: str, domain: dict, details: dict, ts, points, signed, sense: str):
+    """The report of a sign condition over a (t, point) grid: the one place
+    a sign is judged.  signed holds the normalized residuals, one row per t in
+    ts; points is 1-d when every t shares them, else one row per t.  sense
+    "super" asks residual >= 0 (the worst is the minimum), "sub" asks <= 0
+    (the maximum).  worst_at, the first (t, point) in row order attaining the
+    worst, is appended as the last key of details; the verdict allows SIGN_TOL
+    of the wrong sign.  A NaN is the worst at its first (t, point) and fails,
+    as no comparison with NaN holds."""
     flip = 1.0 if sense == "super" else -1.0  # the worst is the minimum of flip * residual
     flipped = flip * np.asarray(signed)
     # argmin takes the first minimum in row order, or the first NaN
     i, j = np.unravel_index(np.argmin(flipped), flipped.shape)
     worst = float(flipped[i, j])
     worst_at = (float(ts[i]), float(np.broadcast_to(points, flipped.shape)[i, j]))
-    if math.isnan(worst):
-        return math.nan, worst_at, "fail"
-    return flip * worst, worst_at, "pass" if worst >= -SIGN_TOL else "fail"
+    return VerificationReport(name=name, domain=domain, worst_signed_residual=flip * worst,
+                              verdict="pass" if worst >= -SIGN_TOL else "fail",
+                              details={**details, "worst_at": worst_at})
+
+
+def _psi_scan(r: float, consts: dict, sense: str, bracket) -> VerificationReport:
+    """Sign scan of a psi bracket on PSI_GRID: t geometric in [t0, T_MAX],
+    y = z / sqrt t in [0, Y_MAX].  bracket(sqrt_t, y, w, w') returns the
+    bracket and the sum of its terms' magnitudes, which normalizes it;
+    sqrt_t is a column, so both broadcast to one row per t."""
+    n_t, n_y = PSI_GRID
+    t0 = consts["t0"]
+    ys = np.linspace(0.0, Y_MAX, n_y)
+    ts = _t_grid(t0, T_MAX, n_t)
+    with np.errstate(under="ignore"):  # e^{-z} terms underflow to 0 far out
+        value, size = bracket(np.sqrt(ts)[:, None], ys, w_eval(r, ys), w_prime_eval(r, ys))
+    domain = {"t": f"[{t0:g}, {T_MAX:g}]", "y": f"[0, {Y_MAX:g}]", "grid": f"{n_t}x{n_y}"}
+    return _sign_scan(f"psi_{sense}_r{r:g}", domain, consts, ts, ys,
+                      value / np.maximum(size, 1e-300), sense)
 
 
 def supersolution_constants(r: float) -> dict:
@@ -164,10 +181,6 @@ def supersolution_constants(r: float) -> dict:
     return {"r": r, "r_prime": r, "delta": delta, "M": M, "t0": t0}
 
 
-def _psi_domain(t0: float, n_t: int, n_y: int) -> dict:
-    return {"t": f"[{t0:g}, {T_MAX:g}]", "y": f"[0, {Y_MAX:g}]", "grid": f"{n_t}x{n_y}"}
-
-
 def check_supersolution(r: float) -> VerificationReport:
     """Sign certificate for the bracket
         (1 - M/sqrt t) r' w'(y) + (M/2) w(y),  y = z / sqrt t,
@@ -175,22 +188,11 @@ def check_supersolution(r: float) -> VerificationReport:
     For r <= 0 the constants r' = 0, M = 0 make the bracket identically 0:
     the report reads 0 and shows no margin, by construction."""
     consts = supersolution_constants(r)
-    r_prime, M, t0 = consts["r_prime"], consts["M"], consts["t0"]
-    n_t, n_y = PSI_GRID
-    ys = np.linspace(0.0, Y_MAX, n_y)
-    w_arr = w_eval(r, ys)
-    wp_arr = w_prime_eval(r, ys)
-    scale = np.maximum(abs(r_prime) * np.abs(wp_arr) + 0.5 * M * w_arr, 1e-300)
-    ts = _t_grid(t0, T_MAX, n_t)
-    bracket = (1.0 - M / np.sqrt(ts)[:, None]) * r_prime * wp_arr + 0.5 * M * w_arr
-    worst, worst_at, verdict = _sign_scan(ts, ys, bracket / scale, "super")
-    return VerificationReport(
-        name=f"psi_super_r{r:g}",
-        domain=_psi_domain(t0, n_t, n_y),
-        worst_signed_residual=worst,
-        verdict=verdict,
-        details={**consts, "worst_at": worst_at},
-    )
+    r_prime, M = consts["r_prime"], consts["M"]
+    return _psi_scan(r, consts, "super", lambda sqrt_t, y, w, wp: (
+        (1.0 - M / sqrt_t) * r_prime * wp + 0.5 * M * w,
+        abs(r_prime) * np.abs(wp) + 0.5 * M * w,
+    ))
 
 
 def subsolution_constants(r: float) -> dict:
@@ -226,29 +228,15 @@ def check_subsolution(r: float) -> VerificationReport:
     bound: epsilon many times its bound still passes it, so the bound holds
     only by construction (subsolution_constants sets epsilon to half of it)."""
     consts = subsolution_constants(r)
-    r_prime, M, eps, t0 = consts["r_prime"], consts["M"], consts["epsilon"], consts["t0"]
-    n_t, n_y = PSI_GRID
-    ys = np.linspace(0.0, Y_MAX, n_y)
-    w_arr = w_eval(r, ys)
-    wp_arr = w_prime_eval(r, ys)
-    ts = _t_grid(t0, T_MAX, n_t)
-    sqrt_t = np.sqrt(ts)[:, None]
-    damp = 1.0 + M / sqrt_t
-    with np.errstate(under="ignore"):
-        quad_term = damp * eps * np.exp(-ys * sqrt_t) * w_arr**2
-    braced = -0.5 * M * w_arr + damp * (r_prime * wp_arr + quad_term)
-    scale = np.maximum(
-        0.5 * M * w_arr + damp * (abs(r_prime) * np.abs(wp_arr) + quad_term),
-        1e-300,
-    )
-    worst, worst_at, verdict = _sign_scan(ts, ys, braced / scale, "sub")
-    return VerificationReport(
-        name=f"psi_sub_r{r:g}",
-        domain=_psi_domain(t0, n_t, n_y),
-        worst_signed_residual=worst,
-        verdict=verdict,
-        details={**consts, "worst_at": worst_at},
-    )
+    r_prime, M, eps = consts["r_prime"], consts["M"], consts["epsilon"]
+
+    def bracket(sqrt_t, y, w, wp):
+        damp = 1.0 + M / sqrt_t
+        quad_term = damp * eps * np.exp(-y * sqrt_t) * w**2
+        return (-0.5 * M * w + damp * (r_prime * wp + quad_term),
+                0.5 * M * w + damp * (abs(r_prime) * np.abs(wp) + quad_term))
+
+    return _psi_scan(r, consts, "sub", bracket)
 
 
 def check_tw_shift(k: float) -> VerificationReport:
@@ -259,7 +247,8 @@ def check_tw_shift(k: float) -> VerificationReport:
     The residual is normalized by its own magnitude, so each sample reads
     -1, 0 or +1 and the worst signed residual is one of these by
     construction: the verdict is the sign of r U'(z) on the grid, and the
-    report shows no margin."""
+    report shows no margin.  All samples tie, so worst_at is the first one,
+    (1, lowest z), by construction."""
     r = drift_target(k)
     wave = minimal_wave()
     n_t, n_z = TW_GRID
@@ -274,14 +263,11 @@ def check_tw_shift(k: float) -> VerificationReport:
     else:
         signed = np.zeros((n_t, n_z))
     kind = "super" if k > 1.0 else "sub" if k < 1.0 else "both"
-    worst, _, verdict = _sign_scan(ts, zs, signed, "super" if k > 1.0 else "sub")
-    return VerificationReport(
-        name=f"tw_shift_k{k:g}",
-        domain={"t": f"[1, {T_MAX:g}]", "z": f"[{zs[0]:g}, {zs[-1]:g}]",
-                "grid": f"{n_t}x{n_z}"},
-        worst_signed_residual=worst,
-        verdict=verdict,
-        details={"k": k, "r": r, "t0": TW_T0, "acts_as": kind},
+    return _sign_scan(
+        f"tw_shift_k{k:g}",
+        {"t": f"[1, {T_MAX:g}]", "z": f"[{zs[0]:g}, {zs[-1]:g}]", "grid": f"{n_t}x{n_z}"},
+        {"k": k, "r": r, "t0": TW_T0, "acts_as": kind},
+        ts, zs, signed, "super" if k > 1.0 else "sub",
     )
 
 
@@ -290,9 +276,10 @@ def check_phi_eta_sub(r: float) -> VerificationReport:
     z in (0, 2 sqrt t]:
         (-eta^2 - r)/t + (e^{eta z / sqrt t} - gamma) phi(z) <= 0
     with eta = sqrt(-r), gamma = e^{2 eta}; also checks the positive gluing
-    angle at z = 0.  Normalized by its own magnitude, every sample reads -1
-    but y = 2, where e^{2 eta} = gamma gives an exact 0: the report reads 0
-    and shows no margin, by construction; only the gluing angle can fail."""
+    angle at z = 0 (min_gluing_slope).  Normalized by its own magnitude, every
+    sample reads -1 but y = 2, where e^{2 eta} = gamma gives an exact 0: the
+    scan reads 0 and shows no margin, by construction; only a gluing slope
+    that is not positive can fail the verdict."""
     if not r < 0.0:
         raise DomainError("phi_eta_sub requires r < 0")
     eta = math.sqrt(-r)
@@ -309,18 +296,17 @@ def check_phi_eta_sub(r: float) -> VerificationReport:
     # the 1/t drift term is (-eta^2 - r)/t = 0 by the construction eta = sqrt(-r)
     expr = (boost - gamma) * phis
     scale = np.maximum((gamma - boost) * phis, 1e-300)
-    worst, worst_at, verdict = _sign_scan(ts, zs, expr / scale, "sub")
     phi0, dphi0 = phi(0.0), phi.derivative(0.0)
     min_glue = min((eta / math.sqrt(t)) * phi0 + dphi0 for t in ts)
-    return VerificationReport(
-        name=f"phi_eta_sub_r{r:g}",
-        domain={"t": f"[{PHI_T_MIN:g}, {T_MAX:g}]", "z": "(0, 2 sqrt t]",
-                "grid": f"{n_t}x{n_y}"},
-        worst_signed_residual=worst,
-        verdict=verdict if min_glue > 0.0 else "fail",
-        details={"r": r, "eta": eta, "gamma": gamma, "worst_at": worst_at,
-                 "min_gluing_slope": min_glue},
+    report = _sign_scan(
+        f"phi_eta_sub_r{r:g}",
+        {"t": f"[{PHI_T_MIN:g}, {T_MAX:g}]", "z": "(0, 2 sqrt t]", "grid": f"{n_t}x{n_y}"},
+        {"r": r, "eta": eta, "gamma": gamma, "min_gluing_slope": min_glue},
+        ts, zs, expr / scale, "sub",
     )
+    if not min_glue > 0.0:
+        report.verdict = "fail"
+    return report
 
 
 def critical_sub_constants() -> dict:
@@ -348,14 +334,9 @@ def check_critical_sub() -> VerificationReport:
     lead = np.exp(-zs) * heatkernel.v_dirichlet(ts[:, None], zs, VERIFY_TOL).value
     damp = M / (4.0 * (ts[:, None] + 1.0) ** 1.25)
     signed = (lead - damp) / np.maximum(lead + damp, 1e-300)
-    worst, worst_at, verdict = _sign_scan(ts, zs, signed, "sub")
-    return VerificationReport(
-        name="dirichlet_sub_critical",
-        domain={"t": f"[1, {CRITICAL_T_MAX:g}]", "z": "(0, 3 ln t]", "grid": f"{n_t}x{n_z}"},
-        worst_signed_residual=worst,
-        verdict=verdict,
-        details={"M": M, "delta": delta, "worst_at": worst_at},
-    )
+    domain = {"t": f"[1, {CRITICAL_T_MAX:g}]", "z": "(0, 3 ln t]", "grid": f"{n_t}x{n_z}"}
+    return _sign_scan("dirichlet_sub_critical", domain, {"M": M, "delta": delta},
+                      ts, zs, signed, "sub")
 
 
 def check_critical_super() -> VerificationReport:
@@ -374,12 +355,7 @@ def check_critical_super() -> VerificationReport:
     a = (1.5 / t - 1.0 / (t * np.log(t))) * dv
     b = (M / (4.0 * t**1.25)) / (1.0 - M / t**0.25) * v
     signed = (a + b) / np.maximum(np.abs(a) + np.abs(b), 1e-300)
-    worst, worst_at, verdict = _sign_scan(ts, zs, signed, "super")
-    return VerificationReport(
-        name="dirichlet_super_critical",
-        domain={"t": f"[{t0:g}, {CRITICAL_T_MAX:g}]", "z": "y sqrt(t), y in [0.1, 2]",
-                "grid": f"{n_t}x{n_y}"},
-        worst_signed_residual=worst,
-        verdict=verdict,
-        details={"M": M, "t0": t0, "worst_at": worst_at},
-    )
+    domain = {"t": f"[{t0:g}, {CRITICAL_T_MAX:g}]", "z": "y sqrt(t), y in [0.1, 2]",
+              "grid": f"{n_t}x{n_y}"}
+    return _sign_scan("dirichlet_super_critical", domain, {"M": M, "t0": t0},
+                      ts, zs, signed, "super")

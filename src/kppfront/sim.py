@@ -242,17 +242,15 @@ class SimConfig:
             raise DomainError("snapshot times must lie in [0, t_end]")
         object.__setattr__(self, "snapshot_times", snaps)
         # the range guard's barrier min(e^{xi}, e^{xi_J}) must bound the datum
-        xi = self.nodes()
-        far = xi[self.n_uniform:]
-        if far.size:
-            tail = math.log(self.amplitude) + self.k * np.log(far)
-            worst = int(np.argmax(tail))
-            if tail[worst] > xi[self.n_uniform - 1]:
-                raise DomainError(
-                    f"amplitude too large for the graded cells: ln A + k ln xi = "
-                    f"{tail[worst]:.4g} at xi = {far[worst]:.4g} exceeds the last uniform "
-                    f"node xi_J = {xi[self.n_uniform - 1]:.4g}"
-                )
+        xi, n = self.nodes(), self.n_uniform
+        log_far = _log_front_data(self.k, self.amplitude, xi[n:])
+        over = np.flatnonzero(log_far > xi[n - 1])
+        if over.size:
+            raise DomainError(
+                f"amplitude too large for the graded cells: ln(e^xi u0) = {log_far[over[0]]:.4g}"
+                f" at xi = {xi[n + over[0]]:.4g} exceeds the last uniform node xi_J = "
+                f"{xi[n - 1]:.4g}"
+            )
 
     @property
     def n_uniform(self) -> int:

@@ -1,6 +1,7 @@
 """Sub/super-solution certificates: sign verdicts, auto-chosen constants, and
 finite-difference validation of every closed-form residual."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,10 @@ def test_report_needs_a_verdict():
         VerificationReport(name="x", domain={}, worst_signed_residual=0.0)
 
 
+def _scan(ts, points, signed, sense):
+    return ansatz._sign_scan("scan", {"t": "[1, 3]"}, {"r": 0.5}, ts, points, signed, sense)
+
+
 @pytest.mark.parametrize("sense", ["super", "sub"])
 @pytest.mark.parametrize("rows,first_nan", [
     # a NaN must not hide its row's real worst value, -5 at t = 2
@@ -43,8 +48,9 @@ def test_report_needs_a_verdict():
 ])
 def test_nan_residual_fails_the_sign_scan(sense, rows, first_nan):
     ts = np.arange(1.0, len(rows) + 1.0)
-    worst, worst_at, verdict = ansatz._sign_scan(ts, np.array([0.0, 1.0]), np.array(rows), sense)
-    assert math.isnan(worst) and worst_at == first_nan and verdict == "fail"
+    rep = _scan(ts, np.array([0.0, 1.0]), np.array(rows), sense)
+    assert math.isnan(rep.worst_signed_residual)
+    assert rep.details["worst_at"] == first_nan and rep.verdict == "fail"
 
 
 # per-t points (n_t, n_points), the layout of the critical checks
@@ -59,10 +65,12 @@ PER_T_POINTS = np.array([[10.0, 11.0], [20.0, 21.0], [30.0, 31.0]])
     ("super", [[1.0, 2.0], [-5.0, math.nan], [math.nan, -7.0]], (math.nan, (2.0, 21.0), "fail")),
 ])
 def test_sign_scan_reads_per_t_points(sense, signed, want):
-    worst, worst_at, verdict = ansatz._sign_scan(np.array([1.0, 2.0, 3.0]), PER_T_POINTS,
-                                                 np.array(signed), sense)
-    np.testing.assert_equal(worst, want[0])
-    assert (worst_at, verdict) == want[1:]
+    rep = _scan(np.array([1.0, 2.0, 3.0]), PER_T_POINTS, np.array(signed), sense)
+    np.testing.assert_equal(rep.worst_signed_residual, want[0])
+    assert (rep.details["worst_at"], rep.verdict) == want[1:]
+    # name and domain pass through; verify CSVs write details in dict order,
+    # so worst_at must stay the last key
+    assert (rep.name, rep.domain, list(rep.details)) == ("scan", {"t": "[1, 3]"}, ["r", "worst_at"])
 
 
 @pytest.mark.parametrize("wrong_sign,verdict", [(ansatz.SIGN_TOL, "pass"),
@@ -70,8 +78,8 @@ def test_sign_scan_reads_per_t_points(sense, signed, want):
 def test_sign_scan_allows_sign_tol(wrong_sign, verdict):
     ts, points = np.array([1.0]), np.array([0.0, 1.0])
     signed = np.array([[0.5, -wrong_sign]])
-    assert ansatz._sign_scan(ts, points, signed, "super")[2] == verdict
-    assert ansatz._sign_scan(ts, points, -signed, "sub")[2] == verdict
+    assert _scan(ts, points, signed, "super").verdict == verdict
+    assert _scan(ts, points, -signed, "sub").verdict == verdict
 
 
 class TestPsiEval:
@@ -344,6 +352,23 @@ class TestPhiEtaSub:
         rep = check_phi_eta_sub(r)
         assert rep.passed
         assert rep.details["min_gluing_slope"] > 0.0
+
+    def test_fails_on_a_negative_gluing_slope(self, monkeypatch):
+        # the scan alone reads 0 and passes; phi'(0) = -1e-3 lies below
+        # -(eta / sqrt t) phi(0) = -6.8e-5 at t = T_MAX, so the gluing slope
+        # there is negative and must fail the verdict
+        original = ansatz.phi_gamma
+
+        def tilted(gamma):
+            p = original(gamma)
+            d = p.dvalues.copy()
+            d[0] = -1e-3
+            return dataclasses.replace(p, dvalues=d)
+
+        monkeypatch.setattr(ansatz, "phi_gamma", tilted)
+        rep = check_phi_eta_sub(-1.0)
+        assert rep.verdict == "fail" and rep.worst_signed_residual == 0.0
+        np.testing.assert_allclose(rep.details["min_gluing_slope"], -9.32e-4, rtol=1e-3)
 
     def test_boundary_saturation_is_exact_zero(self):
         eta = math.sqrt(1.0)
