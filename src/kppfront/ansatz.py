@@ -1,8 +1,9 @@
 """Numerical certificates for the sub- and super-solution constructions.
 
 Each sign check evaluates a closed-form residual on a (t, point) grid,
-normalized by the magnitude of its terms; _sign_scan, the one place that
-judges a sign, builds its report: the worst value, worst_at and a verdict with
+together with the magnitude of its terms.  _sign_scan, the one place that
+judges a sign, divides the one by the other (a point whose terms all vanish
+reads 0) and builds the report: the worst value, worst_at and a verdict with
 SIGN_TOL = 1e-12 slack (near z = 0 the expressions vanish and raw rounding
 noise would otherwise dominate).  Both psi checks share _psi_scan's grid and
 differ only in their bracket.  The residual identity check, the one report
@@ -133,17 +134,20 @@ def _t_grid(t0: float, t_max: float, n_t: int) -> np.ndarray:
     return np.geomspace(t0, t_max, n_t)
 
 
-def _sign_scan(name: str, domain: dict, details: dict, ts, points, signed, sense: str):
+def _sign_scan(name: str, domain: dict, details: dict, ts, points, residual, sense: str):
     """The report of a sign condition over a (t, point) grid: the one place
-    a sign is judged.  signed holds the normalized residuals, one row per t in
-    ts; points is 1-d when every t shares them, else one row per t.  sense
-    "super" asks residual >= 0 (the worst is the minimum), "sub" asks <= 0
-    (the maximum).  worst_at, the first (t, point) in row order attaining the
-    worst, is appended as the last key of details; the verdict allows SIGN_TOL
-    of the wrong sign.  A NaN is the worst at its first (t, point) and fails,
-    as no comparison with NaN holds."""
+    a sign is judged.  residual is the pair (value, magnitude) of the
+    residual and the sum of its terms' magnitudes, broadcasting to one row per
+    t in ts; the scan judges value / max(magnitude, 1e-300), so a point whose
+    terms all vanish reads 0.  points is 1-d when every t shares them, else
+    one row per t.  sense "super" asks residual >= 0 (the worst is the
+    minimum), "sub" asks <= 0 (the maximum).  worst_at, the first (t, point)
+    in row order attaining the worst, is appended as the last key of details;
+    the verdict allows SIGN_TOL of the wrong sign.  A NaN is the worst at its
+    first (t, point) and fails, as no comparison with NaN holds."""
+    value, magnitude = residual
     flip = 1.0 if sense == "super" else -1.0  # the worst is the minimum of flip * residual
-    flipped = flip * np.asarray(signed)
+    flipped = flip * (value / np.maximum(magnitude, 1e-300))
     # argmin takes the first minimum in row order, or the first NaN
     i, j = np.unravel_index(np.argmin(flipped), flipped.shape)
     worst = float(flipped[i, j])
@@ -156,17 +160,16 @@ def _sign_scan(name: str, domain: dict, details: dict, ts, points, signed, sense
 def _psi_scan(r: float, consts: dict, sense: str, bracket) -> VerificationReport:
     """Sign scan of a psi bracket on PSI_GRID: t geometric in [t0, T_MAX],
     y = z / sqrt t in [0, Y_MAX].  bracket(sqrt_t, y, w, w') returns the
-    bracket and the sum of its terms' magnitudes, which normalizes it;
+    bracket and the sum of its terms' magnitudes, _sign_scan's residual pair;
     sqrt_t is a column, so both broadcast to one row per t."""
     n_t, n_y = PSI_GRID
     t0 = consts["t0"]
     ys = np.linspace(0.0, Y_MAX, n_y)
     ts = _t_grid(t0, T_MAX, n_t)
     with np.errstate(under="ignore"):  # e^{-z} terms underflow to 0 far out
-        value, size = bracket(np.sqrt(ts)[:, None], ys, w_eval(r, ys), w_prime_eval(r, ys))
+        residual = bracket(np.sqrt(ts)[:, None], ys, w_eval(r, ys), w_prime_eval(r, ys))
     domain = {"t": f"[{t0:g}, {T_MAX:g}]", "y": f"[0, {Y_MAX:g}]", "grid": f"{n_t}x{n_y}"}
-    return _sign_scan(f"psi_{sense}_r{r:g}", domain, consts, ts, ys,
-                      value / np.maximum(size, 1e-300), sense)
+    return _sign_scan(f"psi_{sense}_r{r:g}", domain, consts, ts, ys, residual, sense)
 
 
 def supersolution_constants(r: float) -> dict:
@@ -259,15 +262,15 @@ def check_tw_shift(k: float) -> VerificationReport:
     # at k = 1 (r = 0) the residual is identically zero and either sense reads
     # 0; the explicit zeros keep the sign off -0
     if r != 0.0:
-        signed = rate * du / np.maximum(np.abs(rate) * np.abs(du), 1e-300)
+        residual = (rate * du, np.abs(rate) * np.abs(du))
     else:
-        signed = np.zeros((n_t, n_z))
+        residual = (np.zeros((n_t, n_z)), 1.0)
     kind = "super" if k > 1.0 else "sub" if k < 1.0 else "both"
     return _sign_scan(
         f"tw_shift_k{k:g}",
         {"t": f"[1, {T_MAX:g}]", "z": f"[{zs[0]:g}, {zs[-1]:g}]", "grid": f"{n_t}x{n_z}"},
         {"k": k, "r": r, "t0": TW_T0, "acts_as": kind},
-        ts, zs, signed, "super" if k > 1.0 else "sub",
+        ts, zs, residual, "super" if k > 1.0 else "sub",
     )
 
 
@@ -294,15 +297,14 @@ def check_phi_eta_sub(r: float) -> VerificationReport:
     zs = ys * np.sqrt(ts)[:, None]
     phis = phi(zs)
     # the 1/t drift term is (-eta^2 - r)/t = 0 by the construction eta = sqrt(-r)
-    expr = (boost - gamma) * phis
-    scale = np.maximum((gamma - boost) * phis, 1e-300)
+    residual = ((boost - gamma) * phis, (gamma - boost) * phis)
     phi0, dphi0 = phi(0.0), phi.derivative(0.0)
     min_glue = min((eta / math.sqrt(t)) * phi0 + dphi0 for t in ts)
     report = _sign_scan(
         f"phi_eta_sub_r{r:g}",
         {"t": f"[{PHI_T_MIN:g}, {T_MAX:g}]", "z": "(0, 2 sqrt t]", "grid": f"{n_t}x{n_y}"},
         {"r": r, "eta": eta, "gamma": gamma, "min_gluing_slope": min_glue},
-        ts, zs, expr / scale, "sub",
+        ts, zs, residual, "sub",
     )
     if not min_glue > 0.0:
         report.verdict = "fail"
@@ -333,10 +335,9 @@ def check_critical_sub() -> VerificationReport:
     zs = np.array([np.geomspace(0.05, max(3.0 * math.log(t + 3.0), 8.0), n_z) for t in ts])
     lead = np.exp(-zs) * heatkernel.v_dirichlet(ts[:, None], zs, VERIFY_TOL).value
     damp = M / (4.0 * (ts[:, None] + 1.0) ** 1.25)
-    signed = (lead - damp) / np.maximum(lead + damp, 1e-300)
     domain = {"t": f"[1, {CRITICAL_T_MAX:g}]", "z": "(0, 3 ln t]", "grid": f"{n_t}x{n_z}"}
     return _sign_scan("dirichlet_sub_critical", domain, {"M": M, "delta": delta},
-                      ts, zs, signed, "sub")
+                      ts, zs, (lead - damp, lead + damp), "sub")
 
 
 def check_critical_super() -> VerificationReport:
@@ -354,8 +355,7 @@ def check_critical_super() -> VerificationReport:
     dv = heatkernel.v_dirichlet_dx(t, zs, np.maximum(VERIFY_TOL, np.abs(v) * 1e-7)).value
     a = (1.5 / t - 1.0 / (t * np.log(t))) * dv
     b = (M / (4.0 * t**1.25)) / (1.0 - M / t**0.25) * v
-    signed = (a + b) / np.maximum(np.abs(a) + np.abs(b), 1e-300)
     domain = {"t": f"[{t0:g}, {CRITICAL_T_MAX:g}]", "z": "y sqrt(t), y in [0.1, 2]",
               "grid": f"{n_t}x{n_y}"}
     return _sign_scan("dirichlet_super_critical", domain, {"M": M, "t0": t0},
-                      ts, zs, signed, "super")
+                      ts, zs, (a + b, np.abs(a) + np.abs(b)), "super")

@@ -42,37 +42,34 @@ set_dt flushes it to 0 beyond).  Plain centered
 differences in u bias the front speed by dxi^2/4, which is fatal to the
 log-law fits (see the refinement evidence in the tests).
 
-Step.  Two kernels share the interior matrix A = M + dt K, with M = diag(m),
-K the conductance matrix (M D = -K), and the two end nodes held as
-Dirichlet data.  Their values are moved to the right-hand side (dt k ub_0
-and dt k ub_{n-1} join the first and last interior rows), which leaves a
-symmetric tridiagonal A with diagonal m_i + dt (k- + k+) and off-diagonal
--dt k; on the uniform part it is tridiag(-off, 1 + 2 off, -off),
-off = dt / (rho dxi^2).  It is strictly diagonally dominant (row sums m_i)
-with positive diagonal, hence positive definite and an M-matrix.  Up to
-dt = DT_MAX a step is IMEX,
+Step.  Both kernels solve one equation for the new interior state v,
 
-    A ub+ = M (ub - dt e^{-xi} ub^2) + (boundary terms),
+    A v + s v^2 = M ub + (boundary terms) =: b,  s = dt m e^{-xi},
 
-with A factored as L D L^T (LAPACK dpttrf, in Stepper._factor, the one
-routine that factors for both kernels) once per step size and each step one
-dpttrs solve.  Past DT_MAX it is backward Euler,
+on the interior matrix A = M + dt K, with M = diag(m), K the conductance
+matrix (M D = -K), and the two end nodes held as Dirichlet data.  Their
+values are moved to the right-hand side (dt k ub_0 and dt k ub_{n-1} join
+the first and last interior rows), which leaves a symmetric tridiagonal A
+with diagonal m_i + dt (k- + k+) and off-diagonal -dt k; on the uniform part
+it is tridiag(-off, 1 + 2 off, -off), off = dt / (rho dxi^2).  It is
+strictly diagonally dominant (row sums m_i) with positive diagonal, hence
+positive definite and an M-matrix.  Up to dt = DT_MAX a step is IMEX, the
+sink taken at the old state: A v = M ub - s ub^2 + (boundary terms), with A
+factored as L D L^T (LAPACK dpttrf, in Stepper._factor, the one routine
+that factors for both kernels) once per step size and each step one dpttrs
+solve.  Past DT_MAX it is backward Euler, F(v) := A v + s v^2 = b solved by
+Newton (below).  Stepper.set_dt decides the kernel once per step size.
 
-    F(ub+) := A ub+ + s ub+^2 = M ub + (boundary terms) =: b,  s = dt m e^{-xi},
-
-solved by Newton (below).  Stepper.step_weighted picks the kernel from
-dt > DT_MAX at each call.
-
-Reaction bound.  The explicit sink acts node by node as
-ub -> ub - dt e^{-xi} ub^2, with derivative 1 - 2 dt e^{-xi} ub = 1 - 2 dt u.
-It is monotone exactly when dt * max u <= 1/2, i.e. for states in [0, 1]
-when dt <= 1/2.  DT_MAX = 1/2 is that bound: no IMEX step exceeds it.  An
-IMEX step is the composition of two monotone maps (A^{-1} is entrywise
-nonnegative).  The backward-Euler map needs no bound: F is an M-function on
-v >= 0 (an M-matrix plus a diagonal map isotone in each v_i), and the
-inverse of an M-function is isotone at every dt (Ortega & Rheinboldt,
-Iterative Solution of Nonlinear Equations in Several Variables, 13.5),
-while b is isotone in ub.  So ordered states stay ordered to rounding (the
+Reaction bound.  The explicit sink acts node by node as ub -> m ub - s ub^2
+= m (ub - dt e^{-xi} ub^2), with derivative m (1 - 2 dt u).  It is monotone
+exactly when dt * max u <= 1/2, i.e. for states in [0, 1] when dt <= 1/2.
+DT_MAX = 1/2 is that bound: no IMEX step exceeds it.  An IMEX step is the
+composition of two monotone maps (A^{-1} is entrywise nonnegative).  The
+backward-Euler map needs no bound: F is an M-function on v >= 0 (an
+M-matrix plus a diagonal map isotone in each v_i), and the inverse of an
+M-function is isotone at every dt (Ortega & Rheinboldt, Iterative Solution
+of Nonlinear Equations in Several Variables, 13.5), while b is isotone in
+ub.  So ordered states stay ordered to rounding (the
 discrete comparison principle) at every step of either kernel.
 
 Newton.  The iteration from v_0 (simulate's predictor, or ub) solves
@@ -130,9 +127,9 @@ h+ >= h- the second difference of e^{xi} is at least e^{xi} (at least
 guard.  A front's tail, ub ~ A xi^k, lies far below e^{xi_J}.  Past
 xi ~ 708.4 + ln dt, where dt e^{-xi} is flushed to 0, the sink is gone and
 e^{xi} is no barrier (u = 1 grows there); on the default grids those nodes
-are all graded, where the barrier is the constant e^{xi_J}.  Only beyond CLAMP_ALLOWANCE is u clipped back to
-[0, 1], the whole array, and each node's overshoot beyond it added to
-Stepper.clamp_total.
+are all graded, where the barrier is the constant e^{xi_J}.  Only beyond
+CLAMP_ALLOWANCE is u clipped back to [0, 1], the whole array, and each
+node's overshoot beyond it added to Stepper.clamp_total.
 
 Initial datum.  The front-like datum u0 ~ A xi^k e^{-xi} is defined once,
 as L = ln(e^{xi} u0) built in weighted log space (_log_front_data).  The
@@ -219,10 +216,10 @@ class SimConfig:
                if not np.all(np.isfinite(getattr(self, f.name)))]
         if bad:
             raise DomainError(f"config values must be finite: {', '.join(bad)}")
-        if self.xi_max < FAR_ZONE_COEFF * math.sqrt(self.t_end) + 20.0:
+        far_zone = FAR_ZONE_COEFF * math.sqrt(self.t_end) + 20.0
+        if self.xi_max < far_zone:
             raise DomainError(
-                "xi_max too small: need the O(sqrt(t)) far-away zone, "
-                f"xi_max >= {FAR_ZONE_COEFF * math.sqrt(self.t_end) + 20.0:.1f}"
+                f"xi_max too small: need the O(sqrt(t)) far-away zone, xi_max >= {far_zone:.1f}"
             )
         if self.xi_min > -20.0:
             raise DomainError("xi_min must be <= -20")
@@ -241,15 +238,17 @@ class SimConfig:
         if any(not 0.0 <= t <= self.t_end for t in snaps):
             raise DomainError("snapshot times must lie in [0, t_end]")
         object.__setattr__(self, "snapshot_times", snaps)
-        # the range guard's barrier min(e^{xi}, e^{xi_J}) must bound the datum
-        xi, n = self.nodes(), self.n_uniform
-        log_far = _log_front_data(self.k, self.amplitude, xi[n:])
-        over = np.flatnonzero(log_far > xi[n - 1])
-        if over.size:
+        # the range guard's barrier min(e^{xi}, e^{xi_J}) must bound the datum,
+        # ln A + k ln xi on the graded nodes (capped at xi, a cap the datum of
+        # A = tiny stays below wherever a normal A is admissible)
+        xi, n, tiny = self.nodes(), self.n_uniform, np.finfo(float).tiny
+        k_ln_xi = np.max(_log_front_data(self.k, tiny, xi[n:]), initial=-math.inf) - math.log(tiny)
+        ln_a_max = xi[n - 1] - k_ln_xi
+        if math.log(self.amplitude) > ln_a_max:
             raise DomainError(
-                f"amplitude too large for the graded cells: ln(e^xi u0) = {log_far[over[0]]:.4g}"
-                f" at xi = {xi[n + over[0]]:.4g} exceeds the last uniform node xi_J = "
-                f"{xi[n - 1]:.4g}"
+                f"amplitude too large for the graded cells: ln A = {math.log(self.amplitude):.4g}"
+                f" exceeds {ln_a_max:.3f} = xi_J - max k ln xi over the graded nodes"
+                f" (xi_J = {xi[n - 1]:.4g}, the last uniform node)"
             )
 
     @property
@@ -312,8 +311,10 @@ def _stencil_rho(h: float) -> float:
 
 
 class Stepper:
-    """Stepper on a fixed grid: IMEX up to DT_MAX on a matrix factored once
-    per step size, backward Euler by Newton past it (module docstring).
+    """Stepper on a fixed grid.  Each step solves A v + s v^2 = M ub +
+    (boundary terms) with the one sink s = dt m e^{-xi}: IMEX (s v^2 taken
+    at ub) up to DT_MAX on a matrix factored once per step size, backward
+    Euler by Newton past it; set_dt decides which (module docstring).
 
     Holds no solution state between steps: step_weighted returns a new array
     and leaves its input untouched.  It does keep scratch arrays, so one
@@ -347,13 +348,11 @@ class Stepper:
         # flux form: conductance of each cell, rho-fitted on the uniform part
         self._k = np.concatenate((np.full(n - 1, 1.0 / (_stencil_rho(dxi) * dxi * dxi)),
                                   1.0 / (h * dxi)))
-        # row weights (h- + h+) / (2 dxi) of the interior rows: exactly 1 up to
-        # row _graded, the last uniform node's, and above 1 past it
+        # row weights (h- + h+) / (2 dxi) of the interior rows: exactly 1 on the
+        # uniform rows, above 1 from the last uniform node on
         cells = np.concatenate(([dxi], h))
         self._m = np.concatenate((np.ones(n - 2), (cells[:-1] + cells[1:]) / (2.0 * dxi)))
-        self._graded = n - 2
-        self._m_graded = self._m[self._graded:]
-        self._sink = np.empty(self.n - 2)  # interior dt e^{-xi}
+        self._s = np.empty(self.n - 2)  # interior sink dt m e^{-xi}
         self._u = np.empty(self.n)  # plain-u image for the range guard
         self.clamp_total = 0.0
         self.newton_iterations = 0
@@ -362,20 +361,21 @@ class Stepper:
 
     def set_dt(self, dt: float) -> None:
         """Set the step size, any finite dt > 0: build A's diagonal and
-        off-diagonal, the sink dt e^{-xi} and the Newton sink s = dt m e^{-xi},
-        and factor A once for IMEX (dt <= DT_MAX)."""
+        off-diagonal and the sink s = dt m e^{-xi}, and decide the kernel:
+        backward Euler past DT_MAX, else IMEX on A factored here."""
         if not 0.0 < dt < math.inf:
             raise DomainError(f"dt must be finite and positive, got {dt}")
         self.dt = dt
+        self._implicit = dt > DT_MAX
         off = dt * self._k
         self._off_first, self._off_last = off[0], off[-1]
         with np.errstate(under="ignore"):
-            np.multiply(self._weight_down[1:-1], dt, out=self._sink)
-        self._sink[self._sink < np.finfo(float).tiny] = 0.0  # not subnormal, as _weight_down
-        self._s = self._sink * self._m  # m >= 1: normal or 0 wherever the sink is
+            np.multiply(self._weight_down[1:-1], dt, out=self._s)
+        self._s[self._s < np.finfo(float).tiny] = 0.0  # not subnormal, as _weight_down
+        self._s *= self._m  # m >= 1: s stays normal or 0
         self._a_diag = self._m + (off[:-1] + off[1:])
         self._a_off = -off[1:-1]
-        if dt <= DT_MAX:
+        if not self._implicit:
             self._diag, self._sub = self._factor(self._a_diag)
 
     def _factor(self, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,24 +397,21 @@ class Stepper:
             return ub * self._weight_down
 
     def step_weighted(self, ub: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
-        """One step of size dt from the weighted state ub, as a new array:
-        IMEX up to DT_MAX, backward Euler past it, with Newton started from
-        guess (a nonnegative predictor of the result) or else from ub."""
+        """One step of size dt from the weighted state ub, as a new array, by
+        the kernel set_dt decided: IMEX, or backward Euler with Newton started
+        from guess (a nonnegative predictor of the result) or else from ub."""
         out = np.empty(self.n)
         out[0], out[-1] = ub[0], ub[-1]
         rhs = out[1:-1]  # built and solved in place
         inner = ub[1:-1]
-        newton = self.dt > DT_MAX
-        if newton:
-            np.multiply(inner, self._m, out=rhs)
-        else:
-            np.multiply(self._sink, inner, out=rhs)
-            rhs *= inner
-            np.subtract(inner, rhs, out=rhs)
-            rhs[self._graded:] *= self._m_graded
+        np.multiply(inner, self._m, out=rhs)  # M ub
+        if not self._implicit:  # the explicit sink s ub^2, in the range guard's scratch
+            sink = np.multiply(self._s, inner, out=self._u[1:-1])
+            sink *= inner
+            rhs -= sink
         rhs[0] += self._off_first * ub[0]
         rhs[-1] += self._off_last * ub[-1]
-        if newton:
+        if self._implicit:
             rhs[:] = self._newton(rhs, inner if guess is None else guess[1:-1])
         else:
             self._dpttrs(self._diag, self._sub, rhs, overwrite_b=True)
@@ -569,10 +566,9 @@ def simulate(config: SimConfig) -> SimResult:
             h = NEWTON_GROWTH * t
         steps = _step_count(t_out - t, h)
         stepper.set_dt((t_out - t) / steps)
-        newton = stepper.dt > DT_MAX
         for _ in range(steps):
             guess = None
-            if newton:
+            if stepper._implicit:
                 guess = ub - ub_prev
                 guess *= stepper.dt / dt_prev
                 guess += ub

@@ -35,8 +35,9 @@ def test_report_needs_a_verdict():
         VerificationReport(name="x", domain={}, worst_signed_residual=0.0)
 
 
-def _scan(ts, points, signed, sense):
-    return ansatz._sign_scan("scan", {"t": "[1, 3]"}, {"r": 0.5}, ts, points, signed, sense)
+def _scan(ts, points, value, sense, magnitude=1.0):
+    return ansatz._sign_scan("scan", {"t": "[1, 3]"}, {"r": 0.5}, ts, points,
+                             (value, magnitude), sense)
 
 
 @pytest.mark.parametrize("sense", ["super", "sub"])
@@ -58,14 +59,22 @@ PER_T_POINTS = np.array([[10.0, 11.0], [20.0, 21.0], [30.0, 31.0]])
 
 
 @pytest.mark.parametrize("sense,signed,want", [
-    # worst_at is points[i, j] of the first (t, point) in row order attaining
-    # the worst, here tied within and across rows
-    ("super", [[1.0, 2.0], [2.0, -5.0], [-7.0, -7.0]], (-7.0, (3.0, 30.0), "fail")),
-    ("sub", [[1.0, 2.0], [2.0, -5.0], [-7.0, -7.0]], (2.0, (1.0, 11.0), "fail")),
-    ("super", [[1.0, 2.0], [-5.0, math.nan], [math.nan, -7.0]], (math.nan, (2.0, 21.0), "fail")),
+    # signed is the (value, magnitude) pair the scan divides; worst_at is
+    # points[i, j] of the first (t, point) in row order attaining the worst,
+    # here tied within and across rows
+    ("super", ([[1.0, 2.0], [2.0, -5.0], [-7.0, -7.0]], 1.0), (-7.0, (3.0, 30.0), "fail")),
+    ("sub", ([[1.0, 2.0], [2.0, -5.0], [-7.0, -7.0]], 1.0), (2.0, (1.0, 11.0), "fail")),
+    ("super", ([[1.0, 2.0], [-5.0, math.nan], [math.nan, -7.0]], 1.0),
+     (math.nan, (2.0, 21.0), "fail")),
+    # a row whose terms all vanish, as psi_super's at r <= 0, reads 0, not
+    # the NaN of 0 / 0
+    ("super", ([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]], [[1.0], [0.0], [1.0]]),
+     (0.0, (2.0, 20.0), "pass")),
 ])
 def test_sign_scan_reads_per_t_points(sense, signed, want):
-    rep = _scan(np.array([1.0, 2.0, 3.0]), PER_T_POINTS, np.array(signed), sense)
+    value, magnitude = signed
+    rep = _scan(np.array([1.0, 2.0, 3.0]), PER_T_POINTS, np.array(value), sense,
+                np.array(magnitude))
     np.testing.assert_equal(rep.worst_signed_residual, want[0])
     assert (rep.details["worst_at"], rep.verdict) == want[1:]
     # name and domain pass through; verify CSVs write details in dict order,

@@ -4,6 +4,7 @@ preservation, translation covariance."""
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,7 +130,9 @@ class TestConfig:
         ln_a = xi_j - np.max(k * np.log(far))
         inside = SimConfig(k=k, amplitude=math.exp(ln_a - 0.1), t_end=1.0, levels=(0.9,))
         assert simulate(inside).clamp_total == 0.0
-        with pytest.raises(DomainError, match="graded cells"):
+        # the message names that largest ln A
+        with pytest.raises(DomainError, match=re.escape(f"graded cells: ln A = {ln_a + 0.1:.4g}"
+                                                        f" exceeds {ln_a:.3f} = xi_J")):
             SimConfig(k=k, amplitude=math.exp(ln_a + 0.1), t_end=1.0, levels=(0.9,))
 
     def test_mapping_parser(self):
@@ -307,13 +310,14 @@ class TestStep:
         assert u[-1] == 0.0
 
     def test_no_subnormal_sink_on_critical_grid(self):
-        # dt e^{-xi} leaves the normal range before e^{-xi} does (from
-        # xi ~ 706.1 at dt = 0.1): every step's sink pass multiplies through
-        # it, so it must read 0 there too, at every step size set
+        # dt m e^{-xi} leaves the normal range before e^{-xi} does (from
+        # xi ~ 706.1 at dt = 0.1): every IMEX step's sink pass multiplies
+        # through the one sink _s, so it must read 0 there too, at every
+        # step size set
         stepper = config_stepper(CRITICAL)
         for dt in (0.1, DT_MAX):
             stepper.set_dt(dt)
-            sink = stepper._sink
+            sink = stepper._s
             assert not np.any((sink != 0.0) & (sink < np.finfo(float).tiny)), dt
             assert sink[0] > 0.0 and sink[-1] == 0.0
 
@@ -547,6 +551,17 @@ class TestNewton:
         u[100] = np.nan
         with pytest.raises(NumericsError, match="NaN"):
             Stepper(200, 0.05, 2.0).step_values(u)
+
+    def test_kernel_decided_at_dt_max(self):
+        # dt = DT_MAX is the last IMEX step (no Newton iteration), the next
+        # double up is backward Euler
+        stepper = Stepper(200, 0.05, DT_MAX)
+        u = np.linspace(1.0, 0.0, 200)
+        stepper.step_values(u)
+        assert stepper.newton_iterations == 0
+        stepper.set_dt(np.nextafter(DT_MAX, math.inf))
+        stepper.step_values(u)
+        assert stepper.newton_iterations > 0
 
     def test_factor_failure_raises_from_both_kernels(self):
         # the one dpttrf call and its check serve the IMEX factor in set_dt
